@@ -62,7 +62,7 @@ def run_churn_leg():
     runtime.submit(queries)
     report = runtime.run()
     violations = audit_federation(
-        runtime.planner, trees=runtime.dataflow.trees
+        runtime.planner, dataflow=runtime.dataflow
     )
     return report, violations, events
 

@@ -4,7 +4,8 @@ Runs the same planned federation on the live runtime across a sweep of
 entity counts and batch sizes and reports replay throughput (tuples/s of
 delivered traffic), speedup over virtual time, queue high-water marks,
 and retry/drop counts.  Batching amortises per-send overhead, so larger
-batches should raise delivered throughput on the WAN tier.
+batches should raise delivered throughput on the WAN tier.  Writes
+``BENCH_live_throughput.json`` from the 4-entity, batch-32 leg.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ SWEEP = [
 ]
 
 
-def run_live(entities, batch_size, batch_execute=True):
+def run_live(entities, batch_size):
     catalog = stock_catalog(exchanges=2, rate=100.0)
     config = SystemConfig(
         entity_count=entities, processors_per_entity=3, seed=SEED
@@ -35,11 +36,7 @@ def run_live(entities, batch_size, batch_execute=True):
     runtime = LiveRuntime(
         catalog,
         config,
-        LiveSettings(
-            duration=DURATION,
-            batch_size=batch_size,
-            batch_execute=batch_execute,
-        ),
+        LiveSettings(duration=DURATION, batch_size=batch_size),
     )
     workload = generate_workload(
         catalog,
@@ -112,47 +109,6 @@ def test_live_throughput_sweep(benchmark):
     # batching actually batches
     assert large.mean_batch_size > small.mean_batch_size
 
-
-def test_live_batch_execute_speedup(benchmark):
-    """Per-tuple vs batch execution of the live dataplane.
-
-    The same federation (same plan, same seed, same batch size on the
-    wire) runs once with ``batch_execute=False`` — the legacy per-tuple
-    delivery/forward/execute loops — and once with the batch dataplane.
-    What is delivered and computed must be identical; only the wall
-    clock changes.  Writes ``BENCH_live_throughput.json``.
-    """
-    results = {}
-
-    def run():
-        results["per_tuple"] = run_live(4, 32, batch_execute=False)
-        results["batch"] = run_live(4, 32, batch_execute=True)
-        return results
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-    before = results["per_tuple"]
-    after = results["batch"]
-    speedup = after.delivered_throughput / before.delivered_throughput
-    print_header(
-        "E15b — live dataplane: per-tuple vs batch execution "
-        f"(4 entities, batch 32, {QUERIES} queries)"
-    )
-    table = Table(["path", "delivered/s", "results", "speedup"])
-    table.add_row(
-        ["per-tuple", before.delivered_throughput, before.results, 1.0]
-    )
-    table.add_row(
-        ["batch", after.delivered_throughput, after.results, speedup]
-    )
-    table.show()
-
-    # the live correctness contract: batch execution changes wall-clock
-    # cost, never what is delivered or computed
-    assert after.tuples_delivered == before.tuples_delivered
-    assert after.results == before.results
-    assert before.dropped_tuples == 0 and after.dropped_tuples == 0
-
     write_bench_json(
         "live_throughput",
         {
@@ -160,10 +116,8 @@ def test_live_batch_execute_speedup(benchmark):
             "batch_size": 32,
             "queries": QUERIES,
             "duration_virtual_s": DURATION,
-            "per_tuple_delivered_tps": before.delivered_throughput,
-            "batch_delivered_tps": after.delivered_throughput,
-            "batch_speedup": speedup,
-            "tuples_delivered": after.tuples_delivered,
-            "results": after.results,
+            "batch_delivered_tps": large.delivered_throughput,
+            "tuples_delivered": large.tuples_delivered,
+            "results": large.results,
         },
     )

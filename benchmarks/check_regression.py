@@ -8,10 +8,10 @@ Usage (run after the benchmark suite has written its JSON files)::
 metrics (the run fails when a current value drops more than
 ``tolerance`` — default 20% — below its baseline) and the *info*
 metrics (reported but never failing).  Gated metrics are deliberately
-relative ones — speedups of the batch dataplane over the per-tuple
-path — because absolute tuples/s varies wildly across CI runner
-hardware while a dispatch-amortisation ratio does not; the absolute
-numbers ride along as info so drifts stay visible in the nightly log.
+relative ones — a speedup, a headroom — because absolute tuples/s
+varies wildly across CI runner hardware while a ratio taken within one
+run does not; the absolute numbers ride along as info so drifts stay
+visible in the nightly log.
 
 Exit status: 0 when every gate holds, 1 on any regression or missing
 bench file/metric.

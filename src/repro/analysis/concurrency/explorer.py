@@ -228,7 +228,7 @@ class _RuntimeScenario(Scenario):
             return self._finish(
                 controller, monitor, problems, None, 0, controller.strategy
             )
-        for violation in audit_federation(runtime.planner, trees=runtime.dataflow.trees):
+        for violation in audit_federation(runtime.planner, dataflow=runtime.dataflow):
             problems.setdefault("audit", []).append(violation.render())
         metrics = runtime.metrics
         if any(sample < 0 for sample in metrics.result_latencies):

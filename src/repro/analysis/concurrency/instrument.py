@@ -14,7 +14,10 @@ it.  Three kinds of hooks:
   through one shared token in observed order;
 * **tracked state** — the shared dicts migration can corrupt (head
   routes, fragment/downstream tables, hosted/sharing maps, delegation
-  tables, partition specs) are wrapped in :class:`TrackedState`.
+  tables, partition specs) are wrapped in :class:`TrackedState`.  The
+  execution tables are re-derived *in place* on every change
+  (``LiveDataflow.rewire``), so the wrappers installed here keep seeing
+  every write.
 
 The per-tuple metrics dicts are deliberately *not* tracked: the load
 sampler reads them unsynchronized by design (stale samples only skew

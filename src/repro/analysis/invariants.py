@@ -29,6 +29,10 @@ The invariants come straight from the paper:
   shared prefix fingerprints concatenated with each member's tap-suffix
   fingerprints reconstruct the member's own canonical pipeline, so the
   multi-query rewrite provably evaluates the same queries.
+* **wiring** — every live processor's execution tables (fragments,
+  out-edges, delegate head routes) equal the derivation of the current
+  hosting model, so no online change patched a table behind the
+  model's back or edited the model without re-deriving (§4).
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
+from repro.core.wiring import derive_wiring
 from repro.dissemination.tree import SOURCE, DisseminationTree, TreeStructureError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -43,6 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.coordination.tree import CoordinatorTree
     from repro.core.entity import Entity
     from repro.core.system import FederatedSystem
+    from repro.live.runtime import LiveDataflow
 
 
 @dataclass(frozen=True)
@@ -50,7 +56,7 @@ class InvariantViolation:
     """One violated structural invariant.
 
     ``check`` names the checker ("coordinator", "dissemination",
-    "delegation", "hosting", or "balance"), ``subject`` the entity,
+    "delegation", "hosting", "wiring", ...), ``subject`` the entity,
     stream, or structure concerned, and ``detail`` is human-readable.
     """
 
@@ -347,6 +353,41 @@ def check_sharing(entity: "Entity") -> list[InvariantViolation]:
     return violations
 
 
+def check_wiring(
+    entity: "Entity", dataflow: "LiveDataflow"
+) -> list[InvariantViolation]:
+    """Live tables ≡ derivation of the hosting model, for one entity.
+
+    Compares each of the entity's live processors' ``fragments`` /
+    ``downstream`` / ``head_routes`` with a fresh
+    :func:`~repro.core.wiring.derive_wiring` of the current model.
+    """
+    wiring = derive_wiring(entity)
+    violations: list[InvariantViolation] = []
+    for proc_id in sorted(entity.processors):
+        task = dataflow.processors[(entity.entity_id, proc_id)]
+        for table, live, derived in (
+            ("fragments", task.fragments, wiring.fragments[proc_id]),
+            ("downstream", task.downstream, wiring.downstream[proc_id]),
+            ("head_routes", task.head_routes, wiring.head_routes),
+        ):
+            if dict(live) != derived:
+                stale = [
+                    key
+                    for key in sorted(dict.fromkeys([*live, *derived]))
+                    if live.get(key) != derived.get(key)
+                ]
+                violations.append(
+                    InvariantViolation(
+                        "wiring",
+                        proc_id,
+                        f"{table} table differs from the derivation of "
+                        f"the hosting model at {stale}",
+                    )
+                )
+    return violations
+
+
 def check_allocation_balance(
     graph: "QueryGraph",
     assignment: dict[str, str],
@@ -429,19 +470,20 @@ def _check_hosting(
 def audit_federation(
     system: "FederatedSystem",
     *,
-    trees: dict[str, DisseminationTree] | None = None,
     exclude: Iterable[str] = (),
     graph: "QueryGraph | None" = None,
     parts: int | None = None,
     balance_threshold: float = 2.0,
+    dataflow: "LiveDataflow | None" = None,
 ) -> list[InvariantViolation]:
     """Run every structural check against a planned federation.
 
     Args:
         system: The planner (:class:`FederatedSystem`) to audit.
-        trees: Dissemination trees to audit; defaults to the planner's
-            own (the live runtime passes its dataflow's trees, which
-            the migrator refreshes in place).
+        dataflow: The live dataflow executing the plan, if any: its
+            dissemination trees (which the migrator refreshes in place)
+            are audited instead of the planner's own, and the ``wiring``
+            check runs on every entity it executes.
         exclude: Entity ids to skip — crashed entities in a chaos run
             legitimately violate delegation/hosting until re-homed.
         graph: Optional query graph; with ``parts`` enables the
@@ -452,7 +494,9 @@ def audit_federation(
     exclude_set = frozenset(exclude)
     violations: list[InvariantViolation] = []
     violations.extend(check_coordinator_tree(system.portal.tree))
-    if trees is None:
+    if dataflow is not None:
+        trees = dataflow.trees
+    else:
         trees = {
             stream_id: runtime.tree
             for stream_id, runtime in sorted(system.dissemination.items())
@@ -468,6 +512,8 @@ def audit_federation(
             violations.extend(check_delegation(entity))
             violations.extend(check_partitions(entity))
             violations.extend(check_sharing(entity))
+            if dataflow is not None and entity_id in dataflow.gateways:
+                violations.extend(check_wiring(entity, dataflow))
     violations.extend(_check_hosting(system, trees, exclude_set))
     if graph is not None and parts is not None and parts > 0:
         assignment = (
@@ -525,6 +571,7 @@ def run_sharing_smoke(
     from dataclasses import replace as _replace
 
     from repro.core.system import FederatedSystem
+    from repro.live.runtime import LiveDataflow
     from repro.workloads import sharing_workload
 
     catalog, config, queries = sharing_workload(seed)
@@ -610,7 +657,7 @@ def run_partition_smoke(
     runtime.submit(queries)
     runtime.run()
     violations = audit_federation(
-        runtime.planner, trees=runtime.dataflow.trees
+        runtime.planner, dataflow=runtime.dataflow
     )
     if runtime.adaptation_metrics.partition_rebalances == 0:
         violations.append(
@@ -658,7 +705,7 @@ def run_control_smoke(
     runtime.submit(queries)
     report = runtime.run()
     violations = audit_federation(
-        runtime.planner, trees=runtime.dataflow.trees
+        runtime.planner, dataflow=runtime.dataflow
     )
     control = report.control
     registers = sum(1 for e in events if e.action == "register")

@@ -473,7 +473,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             LiveSettings(
                 duration=args.duration,
                 batch_size=args.batch_size,
-                batch_execute=not args.per_tuple,
             ),
         )
         workload = generate_workload(
@@ -670,9 +669,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     checks = (
         "coordinator cluster bounds, dissemination tree + interest "
         "coverage, delegation totality, hosting consistency, "
-        "allocation balance, partitioned stage layout after skew "
-        "rebalance, shared-computation group layout + shared/unshared "
-        "result parity"
+        "allocation balance, partitioned stage layout + live wiring "
+        "after skew rebalance, shared-computation group layout + "
+        "shared/unshared result parity"
     )
     if args.distributed:
         from repro.distributed import run_distributed_smoke
@@ -906,11 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--queries", type=int, default=48)
     profile.add_argument("--duration", type=float, default=2.0)
     profile.add_argument("--batch-size", type=int, default=32)
-    profile.add_argument(
-        "--per-tuple",
-        action="store_true",
-        help="disable the batch dataplane (profile the per-tuple path)",
-    )
     profile.add_argument(
         "--sort",
         default="cumulative",

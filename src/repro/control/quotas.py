@@ -48,11 +48,13 @@ class _Bucket:
 class TenantThrottle:
     """Weighted-fair token buckets keyed by head-fragment id.
 
-    The live wiring registers each standalone query's head fragment
-    under its owning tenant (:meth:`bind`); shared prefix fragments are
-    deliberately never bound — a shared fragment serves several queries
-    (possibly of several tenants), so its intake has no single owner to
-    charge.  Unbound fragments pass through untouched.
+    Whenever an entity's wiring is (re-)derived, the live runtime
+    registers each standalone query's head fragment under its owning
+    tenant (:meth:`bind`) and drops the heads that went away
+    (:meth:`unbind`); shared prefix fragments are deliberately never
+    bound — a shared fragment serves several queries (possibly of
+    several tenants), so its intake has no single owner to charge.
+    Unbound fragments pass through untouched.
     """
 
     def __init__(
@@ -92,12 +94,6 @@ class TenantThrottle:
     def unbind(self, fragment_id: str) -> None:
         """Stop charging a (torn down or migrated) head fragment."""
         self._tenant_of.pop(fragment_id, None)
-
-    def rebind(self, old_fragment_id: str, new_fragment_id: str) -> None:
-        """Carry a binding across a fragment rename (migrations)."""
-        tenant = self._tenant_of.pop(old_fragment_id, None)
-        if tenant is not None:
-            self._tenant_of[new_fragment_id] = tenant
 
     # ------------------------------------------------------------------
     def admit(

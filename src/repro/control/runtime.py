@@ -17,7 +17,9 @@ federation:
   disturbing the remaining members;
 * **per-tenant fair quotas** (weighted-fair token buckets from
   :mod:`repro.control.quotas`) are installed on every LAN processor's
-  delegate-routing intake.
+  delegate-routing intake; which head fragment is charged to which
+  tenant follows the wiring, re-derived on every change
+  (:meth:`~repro.live.runtime.LiveDataflow.rewire`).
 
 Several events due at the same wakeup share one quiesce window, so a
 churn storm costs one drain, not one per query.
@@ -84,7 +86,6 @@ class ControlPlane:
         self.settings = settings
         self.metrics = metrics
         self.admission = runtime.admission
-        self.throttle = runtime.throttle
 
     # ------------------------------------------------------------------
     async def run(self) -> None:
@@ -178,10 +179,6 @@ class ControlPlane:
                     continue  # unknown or already gone: teardown is moot
                 hosted = planner.entities[entity_id].hosted.get(query_id)
                 if hosted is not None:
-                    if self.throttle is not None and hosted.fragments:
-                        self.throttle.unbind(
-                            hosted.fragments[0].fragment_id
-                        )
                     self.migrator.retire_query(entity_id, hosted)
                 planner.drop_query(query_id)
                 touched.add(entity_id)
@@ -200,10 +197,6 @@ class ControlPlane:
                 entity_id = planner.adopt_query(spec)
                 hosted = planner.entities[entity_id].hosted[spec.query_id]
                 self.migrator.register_query(entity_id, hosted)
-                if self.throttle is not None:
-                    self.throttle.bind(
-                        hosted.fragments[0].fragment_id, spec.tenant
-                    )
                 touched.add(entity_id)
                 self.metrics.record_admitted(now - arrived)
             if self.runtime.config.shared_execution:
@@ -260,22 +253,6 @@ class ControlRuntime(AdaptiveRuntime):
             self.note_tenant(query)
 
     # ------------------------------------------------------------------
-    def _build_dataflow(self, traces) -> LiveDataflow:
-        flow = super()._build_dataflow(traces)
-        if self.throttle is not None:
-            for task in flow.processors.values():
-                task.throttle = self.throttle
-            for entity in self.planner.entities.values():
-                for hosted in entity.hosted.values():
-                    # Shared prefix heads have no single owner to
-                    # charge; their members' intake is unthrottled.
-                    if hosted.shared_group is None and hosted.fragments:
-                        self.throttle.bind(
-                            hosted.fragments[0].fragment_id,
-                            hosted.spec.tenant,
-                        )
-        return flow
-
     async def _start_extras(self, flow: LiveDataflow) -> list[asyncio.Task]:
         extras = await super()._start_extras(flow)
         self.plane = ControlPlane(

@@ -12,12 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.engine.executor import LocalEngine
-from repro.engine.partition import (
-    PartitionedDeployment,
-    PartitionRouter,
-    plan_partitioned,
+from repro.core.wiring import (
+    Edge,
+    EntityWiring,
+    ToFragment,
+    ToPartitions,
+    ToResult,
+    ToTaps,
+    derive_wiring,
 )
+from repro.engine.executor import LocalEngine
+from repro.engine.partition import PartitionedDeployment, plan_partitioned
 from repro.engine.plan import Fragment, QueryPlan
 from repro.engine.sharing import SharedDeployment, SharedGroup, plan_shared
 from repro.interest.predicates import StreamInterest
@@ -109,7 +114,7 @@ class Entity:
         self.result_handler: ResultHandler | None = None
         self.tuples_received = 0
         self.results_emitted = 0
-        self._head_routes: dict[str, list[tuple[str, str]]] = {}
+        self.wiring = EntityWiring({}, {}, {}, {})
         self._deployed = False
         self._last_placer = "pr"
         self._last_limit = 2
@@ -191,7 +196,6 @@ class Entity:
         for engine in self.engines.values():
             for fragment_id in engine.fragment_ids:
                 engine.uninstall(fragment_id)
-        self._head_routes.clear()
         self.shared.clear()
 
         limit = max(1, distribution_limit)
@@ -265,10 +269,19 @@ class Entity:
         speeds = {p: proc.speed for p, proc in self.processors.items()}
         plan = make_placer(placer, speeds, seed=seed).place(jobs)
         for hosted in self.hosted.values():
-            if hosted.shared_group is None:
-                self._wire_query(hosted, plan)
+            hosted.chain_procs = [
+                plan.assignment[f.fragment_id] for f in hosted.fragments
+            ]
         for group in groups:
-            self._wire_shared(group, plan)
+            self.shared[group.group_id] = SharedDeployment(
+                group,
+                plan.assignment[group.shared.fragment_id],
+                {
+                    qid: plan.assignment[group.taps[qid].fragment_id]
+                    for qid in group.members
+                },
+            )
+        self._wire(derive_wiring(self))
         self._deployed = True
         return plan
 
@@ -321,106 +334,54 @@ class Entity:
                 )
         return jobs
 
-    def _wire_shared(self, group: SharedGroup, plan: PlacementPlan) -> None:
-        """Install shared prefix → per-member tap fan-out → results.
-
-        The delegate routes each input tuple to the shared fragment
-        *once*; its outputs hop to every member's tap, which relabels
-        and runs the member's private suffix before the result hop.
-        """
-        shared_proc = plan.assignment[group.shared.fragment_id]
-        tap_procs: dict[str, str] = {}
-        hops = []
-        for qid in group.members:
-            tap = group.taps[qid]
-            proc = plan.assignment[tap.fragment_id]
-            tap_procs[qid] = proc
-            self.engines[proc].install(
-                tap, downstream=self._make_result_hop(proc, qid)
-            )
-            hops.append(self._make_hop(shared_proc, proc, tap.fragment_id))
-            hosted = self.hosted[qid]
-            hosted.chain_procs = [proc]
-
-        def fan_out(tup: StreamTuple) -> None:
-            for hop in hops:
-                hop(tup)
-
-        self.engines[shared_proc].install(group.shared, downstream=fan_out)
-        for stream_id in group.input_streams:
-            self._head_routes.setdefault(stream_id, []).append(
-                (group.shared.fragment_id, shared_proc)
-            )
-        self.shared[group.group_id] = SharedDeployment(
-            group, shared_proc, tap_procs
-        )
-
-    def _wire_query(self, hosted: HostedQuery, plan: PlacementPlan) -> None:
-        procs = [plan.assignment[f.fragment_id] for f in hosted.fragments]
-        hosted.chain_procs = procs
-        if hosted.partition is not None:
-            self._wire_partitioned(hosted, procs)
-            return
-        chain = list(zip(hosted.fragments, procs))
-        for index, (fragment, proc) in enumerate(chain):
-            if index + 1 < len(chain):
-                next_fragment, next_proc = chain[index + 1]
-                downstream = self._make_hop(
-                    proc, next_proc, next_fragment.fragment_id
+    def _wire(self, wiring: EntityWiring) -> None:
+        """Interpret the derived wiring on the simulated cluster: every
+        fragment is installed on its processor's engine with its typed
+        out-edge turned into a network-hop closure."""
+        self.wiring = wiring
+        for proc, fragments in wiring.fragments.items():
+            for fragment_id, fragment in fragments.items():
+                self.engines[proc].install(
+                    fragment,
+                    downstream=self._make_downstream(
+                        proc, wiring.downstream[proc][fragment_id]
+                    ),
                 )
-            else:
-                downstream = self._make_result_hop(proc, hosted.spec.query_id)
-            self.engines[proc].install(fragment, downstream=downstream)
-        head = hosted.fragments[0]
-        head_proc = procs[0]
-        for stream_id in hosted.spec.input_streams:
-            self._head_routes.setdefault(stream_id, []).append(
-                (head.fragment_id, head_proc)
-            )
 
-    def _wire_partitioned(
-        self, hosted: HostedQuery, procs: list[str]
-    ) -> None:
-        """Install pre → router-fan-out → partitions → merge → results.
+    def _make_downstream(
+        self, proc: str, edge: Edge
+    ) -> Callable[[StreamTuple], None]:
+        """The closure carrying one fragment's outputs along ``edge``."""
+        if isinstance(edge, ToResult):
+            return self._make_result_hop(proc, edge.query_id)
+        if isinstance(edge, ToFragment):
+            return self._make_hop(proc, edge.proc, edge.fragment_id)
+        if isinstance(edge, ToTaps):
+            # the delegate routes each input tuple to the shared prefix
+            # *once*; its outputs hop to every member's tap
+            tap_hops = [
+                self._make_hop(proc, tap_proc, tap_id)
+                for tap_proc, tap_id in edge.taps
+            ]
 
-        The pre-stage fragment's downstream is the partition router's
-        dispatch: each stage input fans into one schedule control (to
-        the merge) plus the data tuple (to its partition); partitions
-        forward envelopes and acks to the merge, which releases outputs
-        in global ticket order towards the gateway.
-        """
-        deployment = hosted.partition
-        pre, parts, merge = deployment.pre, deployment.parts, deployment.merge
-        pre_proc, part_procs, merge_proc = procs[0], procs[1:-1], procs[-1]
-        self.engines[merge_proc].install(
-            merge,
-            downstream=self._make_result_hop(merge_proc, hosted.spec.query_id),
-        )
-        for part, proc in zip(parts, part_procs):
-            self.engines[proc].install(
-                part,
-                downstream=self._make_hop(
-                    proc, merge_proc, merge.fragment_id
-                ),
-            )
-        hops: dict[object, Callable[[StreamTuple], None]] = {
-            index: self._make_hop(pre_proc, proc, part.fragment_id)
-            for index, (part, proc) in enumerate(zip(parts, part_procs))
+            def fan_out(tup: StreamTuple) -> None:
+                for hop in tap_hops:
+                    hop(tup)
+
+            return fan_out
+        # ToPartitions: each stage input fans into one schedule control
+        # (to the merge) plus the data tuple (to its partition)
+        router = edge.router
+        hops = {
+            dest: self._make_hop(proc, to_proc, fragment_id)
+            for dest, (to_proc, fragment_id) in edge.routes.items()
         }
-        hops[PartitionRouter.MERGE] = self._make_hop(
-            pre_proc, merge_proc, merge.fragment_id
-        )
-        router = deployment.router
 
         def dispatch(tup: StreamTuple) -> None:
             for dest, event in router.route(tup):
                 hops[dest](event)
 
-        self.engines[pre_proc].install(pre, downstream=dispatch)
-        for stream_id in hosted.spec.input_streams:
-            self._head_routes.setdefault(stream_id, []).append(
-                (pre.fragment_id, pre_proc)
-            )
+        return dispatch
 
     def _make_hop(
         self, from_proc: str, to_proc: str, fragment_id: str
@@ -482,7 +443,9 @@ class Entity:
         )
 
     def _route_from_delegate(self, delegate: str, tup: StreamTuple) -> None:
-        for fragment_id, proc in self._head_routes.get(tup.stream_id, []):
+        for fragment_id, proc in self.wiring.head_routes.get(
+            tup.stream_id, ()
+        ):
             if proc == delegate:
                 self.engines[proc].ingest(fragment_id, tup)
             else:
@@ -519,13 +482,7 @@ class Entity:
         del self.engines[proc_id]
         # delegation must forget the dead processor entirely
         self.delegation = DelegationScheme(sorted(self.processors))
-        for hosted in self.hosted.values():
-            for fragment in hosted.fragments:
-                fragment.reset_state()
-            if hosted.partition is not None:
-                hosted.partition.router.reset()
-        for deployment in self.shared.values():
-            deployment.group.shared.reset_state()
+        self.reset_state()
         if self._deployed and self.hosted:
             self.deploy(
                 placer=self._last_placer,
@@ -534,6 +491,18 @@ class Entity:
                 partition_parallelism=self._last_parallelism,
                 shared_execution=self._last_shared,
             )
+
+    def reset_state(self) -> None:
+        """Drop every hosted fragment's operator state and every
+        partition router's sequencing state (a processor was lost, or a
+        live run starts from the planned deployment)."""
+        for hosted in self.hosted.values():
+            for fragment in hosted.fragments:
+                fragment.reset_state()
+            if hosted.partition is not None:
+                hosted.partition.router.reset()
+        for deployment in self.shared.values():
+            deployment.group.shared.reset_state()
 
     # ------------------------------------------------------------------
     # Introspection

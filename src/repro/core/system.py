@@ -252,38 +252,11 @@ class FederatedSystem:
             self._add_client_node(query)
         for entity in self.entities.values():
             if entity.hosted:
-                entity.deploy(
-                    placer=self.config.placement,
-                    distribution_limit=self.config.distribution_limit,
-                    seed=self.config.seed,
-                    partition_parallelism=self.config.partition_parallelism,
-                    shared_execution=self.config.shared_execution,
-                )
-                entity.result_handler = self._deliver_result
+                self._deploy(entity)
         self._build_dissemination()
 
-    def submit_one(self, query: QuerySpec) -> str:
-        """Admit a single query online via coordinator-tree routing.
-
-        This is the §3.2.1 "query stream" path: no global repartitioning,
-        just a level-by-level route to an entity.  Returns the entity id.
-        """
-        if query.query_id in self._query_index:
-            raise ValueError(f"{query.query_id} already submitted")
-        self._queries.append(query)
-        self._query_index[query.query_id] = query
-        if self.allocation_result is None:
-            from repro.core.portal import AllocationResult
-
-            self.allocation_result = AllocationResult(
-                assignment={}, cut=0.0, imbalance=1.0, routing_messages=0
-            )
-        entity_id = self.portal.route_one(query)
-        hosted = self.entities[entity_id].host(query)
-        self.tracker.set_complexity(query.query_id, hosted.inherent_complexity)
-        self._add_client_node(query)
-        self.allocation_result.assignment[query.query_id] = entity_id
-        entity = self.entities[entity_id]
+    def _deploy(self, entity: Entity) -> None:
+        """(Re)deploy one entity under the configured strategies."""
         entity.deploy(
             placer=self.config.placement,
             distribution_limit=self.config.distribution_limit,
@@ -292,6 +265,16 @@ class FederatedSystem:
             shared_execution=self.config.shared_execution,
         )
         entity.result_handler = self._deliver_result
+
+    def submit_one(self, query: QuerySpec) -> str:
+        """Admit a single query online via coordinator-tree routing.
+
+        This is the §3.2.1 "query stream" path: no global repartitioning,
+        just a level-by-level route to an entity (:meth:`adopt_query`),
+        which then redeploys.  Returns the entity id.
+        """
+        entity_id = self.adopt_query(query)
+        self._deploy(self.entities[entity_id])
         self._build_dissemination()
         return entity_id
 
@@ -300,8 +283,8 @@ class FederatedSystem:
         only, no deployment.
 
         The live control plane wires arrivals into an already-running
-        dataflow itself (under a closed feed gate, reusing the migration
-        protocol's installer), so this path must NOT call
+        dataflow itself (under a closed feed gate, through the migration
+        protocol's model edits), so this path must NOT call
         ``entity.deploy`` (that would build fresh ``Fragment`` objects
         diverging from the live ones) nor rebuild dissemination (the
         running feeds hold references to the current tree objects; the
@@ -350,29 +333,13 @@ class FederatedSystem:
     def withdraw(self, query_id: str) -> None:
         """Remove a query ("arrival or leave of queries", §3.2.2).
 
-        The hosting entity redeploys without it and dissemination
-        filters narrow accordingly.
+        After the bookkeeping of :meth:`drop_query`, the hosting entity
+        redeploys without it and dissemination filters narrow
+        accordingly.
         """
-        spec = self._query_index.pop(query_id, None)
-        if spec is None:
-            raise KeyError(query_id)
-        self._queries = [q for q in self._queries if q.query_id != query_id]
-        entity_id = self.allocation_result.assignment.pop(query_id, None)
-        if entity_id is not None and entity_id in self.entities:
-            entity = self.entities[entity_id]
-            entity.unhost(query_id)
-            if entity.hosted:
-                entity.deploy(
-                    placer=self.config.placement,
-                    distribution_limit=self.config.distribution_limit,
-                    seed=self.config.seed,
-                    partition_parallelism=self.config.partition_parallelism,
-                    shared_execution=self.config.shared_execution,
-                )
-                entity.result_handler = self._deliver_result
-        self.portal.router.release(
-            query_id, spec.estimated_load(self.catalog)
-        )
+        entity = self.entities.get(self.drop_query(query_id))
+        if entity is not None and entity.hosted:
+            self._deploy(entity)
         self._build_dissemination()
 
     def submit_over_time(self, timed_queries) -> None:
@@ -512,15 +479,7 @@ class FederatedSystem:
             touched.add(target)
             self.rehomed_queries += 1
         for entity_id in touched:
-            entity = self.entities[entity_id]
-            entity.deploy(
-                placer=self.config.placement,
-                distribution_limit=self.config.distribution_limit,
-                seed=self.config.seed,
-                partition_parallelism=self.config.partition_parallelism,
-                shared_execution=self.config.shared_execution,
-            )
-            entity.result_handler = self._deliver_result
+            self._deploy(self.entities[entity_id])
         self._build_dissemination()
 
     # ------------------------------------------------------------------

@@ -54,7 +54,7 @@ from repro.engine.sharing import (
     plan_shared,
     reinforce_query_graph,
 )
-from repro.live.entity_task import TO_PROC, TO_RESULT, TO_TAPS, FeedGate
+from repro.live.entity_task import FeedGate
 from repro.live.metrics import LiveMetrics, LiveReport
 from repro.live.runtime import LiveDataflow, LiveRuntime, LiveSettings
 from repro.monitoring.adaptation import (
@@ -134,6 +134,11 @@ class QueryMigrator:
     moves against a *running* dataflow: pause → drain → transfer →
     interest refresh → resume.  Operator state moves with the live
     :class:`~repro.engine.plan.Fragment` objects; nothing is reset.
+
+    Every mutator below edits the planner's hosting model (who hosts
+    what, on which processors, in which shared group) and then calls
+    :meth:`_rewire`, which re-derives the touched entities' execution
+    tables from that model — nothing here writes a table entry itself.
     """
 
     def __init__(
@@ -167,10 +172,7 @@ class QueryMigrator:
                     applied.append((query_id, src_id, dst_id))
                     self._transfer(query_id, src_id, dst_id)
                 if self.runtime.config.shared_execution:
-                    touched = sorted(
-                        {src for __, src, __dst in moves}
-                        | {dst for __, __src, dst in moves}
-                    )
+                    touched = self._touched(moves)
                     for entity_id in touched:
                         self._reshare_entity(entity_id)
                     self.metrics.record_reshare(len(touched))
@@ -232,10 +234,11 @@ class QueryMigrator:
         the entity was not yet subscribed to, and the chain is anchored
         at the dominant stream's delegate like any migrated query.
         """
-        hosted.fragments = [self._standalone_fragment(hosted)]
-        hosted.shared_group = None
-        self._ensure_delegation(entity_id, hosted.spec.input_streams)
-        self._install_chain(entity_id, hosted)
+        entity = self.runtime.planner.entities[entity_id]
+        self._make_standalone(hosted)
+        self._ensure_delegation(entity, hosted.spec.input_streams)
+        self._place_chain(entity, hosted)
+        self._rewire(entity_id)
 
     def retire_query(self, entity_id: str, hosted) -> None:
         """Detach a departing query from the running dataflow.
@@ -244,67 +247,19 @@ class QueryMigrator:
         loses its private tap (the group's fan-out shrinks around it;
         the shared prefix — even a stateful one — keeps serving the
         remaining members, and is removed only when the last member
-        leaves).  Standalone chains are simply uninstalled.  Delegation
-        for streams no other hosted query needs is released.
+        leaves).  Delegation for streams no other hosted query needs is
+        released.
         """
-        planner = self.runtime.planner
-        entity = planner.entities[entity_id]
+        entity = self.runtime.planner.entities[entity_id]
         query_id = hosted.spec.query_id
-        if hosted.shared_group is not None:
-            gid = hosted.shared_group
-            deployment = entity.shared.get(gid)
-            if deployment is not None:
-                group = deployment.group
-                tap = group.taps.pop(query_id, None)
-                tap_proc = deployment.tap_procs.pop(query_id, None)
-                if tap is not None and tap_proc is not None:
-                    self._pop_fragment(
-                        entity_id, tap_proc, tap.fragment_id
-                    )
-                group.members = tuple(
-                    m for m in group.members if m != query_id
-                )
-                group.shared.members = group.members
-                if group.members:
-                    shared_task = self.flow.processors[
-                        (entity_id, deployment.shared_proc)
-                    ]
-                    shared_task.downstream[group.shared.fragment_id] = (
-                        TO_TAPS,
-                        tuple(
-                            (
-                                deployment.tap_procs[m],
-                                group.taps[m].fragment_id,
-                            )
-                            for m in group.members
-                        ),
-                    )
-                else:
-                    self._pop_fragment(
-                        entity_id,
-                        deployment.shared_proc,
-                        group.shared.fragment_id,
-                    )
-                    self._drop_head_routes(
-                        entity_id, group.shared.fragment_id
-                    )
-                    del entity.shared[gid]
-            hosted.shared_group = None
-            hosted.fragments = []
-        else:
-            self._uninstall_chain(entity_id, hosted)
-        still_needed = {
-            s
-            for other_id, other in entity.hosted.items()
-            if other_id != query_id
-            for s in other.spec.input_streams
-        }
-        for stream_id in hosted.spec.input_streams:
-            if stream_id not in still_needed:
-                schema = planner.catalog.schema(stream_id)
-                entity.delegation.release(
-                    stream_id, schema.bytes_per_second
-                )
+        entity.unhost(query_id)
+        deployment = entity.shared.get(hosted.shared_group)
+        if deployment is not None:
+            self._leave_group(deployment, query_id)
+            if not deployment.group.members:
+                del entity.shared[hosted.shared_group]
+        self._release_unneeded(entity, hosted.spec.input_streams)
+        self._rewire(entity_id)
 
     def reshare(self, entity_id: str) -> None:
         """Recompute one entity's sharing groups (public wrapper)."""
@@ -354,7 +309,6 @@ class QueryMigrator:
     def _transfer(self, query_id: str, src_id: str, dst_id: str) -> None:
         """Move one query — fragments, state, routes — between entities."""
         planner = self.runtime.planner
-        flow = self.flow
         src = planner.entities[src_id]
         dst = planner.entities[dst_id]
         hosted = src.hosted.pop(query_id, None)
@@ -367,199 +321,75 @@ class QueryMigrator:
             # transfer: it leaves with a standalone canonical chain
             # (private suffix instances keep their state; the stateless
             # prefix is rebuilt fresh, which is output-identical).
-            self._detach_shared(src_id, src, hosted)
+            self._detach_shared(src, hosted)
         streams = hosted.spec.input_streams
-
-        # -- uninstall at the source ----------------------------------
-        src_procs = sorted(src.processors)
-        src_routes = flow.processors[(src_id, src_procs[0])].head_routes
-        head_id = hosted.fragments[0].fragment_id
-        for stream_id in streams:
-            routes = src_routes.get(stream_id)
-            if routes:
-                src_routes[stream_id] = [
-                    r for r in routes if r[0] != head_id
-                ]
-        for fragment, proc_id in zip(
-            hosted.fragments, hosted.chain_procs
-        ):
-            task = flow.processors[(src_id, proc_id)]
-            task.fragments.pop(fragment.fragment_id, None)
-            task.downstream.pop(fragment.fragment_id, None)
-        still_needed = {
-            s
-            for other in src.hosted.values()
-            for s in other.spec.input_streams
-        }
-        for stream_id in streams:
-            if stream_id not in still_needed:
-                schema = planner.catalog.schema(stream_id)
-                src.delegation.release(
-                    stream_id, schema.bytes_per_second
-                )
-
-        # -- install at the target ------------------------------------
+        self._release_unneeded(src, streams)
         for stream_id in streams:
             schema = planner.catalog.schema(stream_id)
             dst.delegation.assign(stream_id, schema.bytes_per_second)
-        self._install_chain(dst_id, hosted)
+        self._place_chain(dst, hosted)
+        self._rewire(src_id, dst_id)
         self.metrics.record_transfer(len(hosted.fragments))
 
-    def _install_chain(self, entity_id: str, hosted) -> None:
-        """Wire a hosted query's fragment chain onto an entity.
+    @staticmethod
+    def _touched(moves: list[tuple[str, str, str]]) -> list[str]:
+        """Every entity a move list takes from or gives to, sorted."""
+        return sorted({e for __, src, dst in moves for e in (src, dst)})
 
-        Re-derives the processor chain from the entity's delegation
-        (head at the dominant stream's delegate, successors round-robin)
-        and installs fragments, intra-chain routing, and head routes.
-        The fragment objects are installed as-is — operator state moves
-        with them.  Shared with the control plane's dynamic
-        registration and the migration abort repair.
-        """
-        planner = self.runtime.planner
-        entity = planner.entities[entity_id]
-        query_id = hosted.spec.query_id
-        streams = hosted.spec.input_streams
+    def _rewire(self, *entity_ids: str) -> None:
+        """Re-derive the given entities' execution tables in place."""
+        for entity_id in entity_ids:
+            self.flow.rewire(self.runtime.planner.entities[entity_id])
+
+    # ------------------------------------------------------------------
+    # Placement policy (model edits only; the caller rewires)
+    # ------------------------------------------------------------------
+    def _anchor_proc(self, entity, input_streams) -> str:
+        """The delegation processor of the dominant input stream."""
+        catalog = self.runtime.planner.catalog
         dominant = max(
-            streams, key=lambda s: planner.catalog.schema(s).rate
+            input_streams, key=lambda s: catalog.schema(s).rate
         )
         procs = sorted(entity.processors)
         delegate = entity.delegation.delegate_of(dominant)
-        start = procs.index(delegate) if delegate in procs else 0
+        return delegate if delegate in procs else procs[0]
+
+    def _place_chain(self, entity, hosted) -> None:
+        """Choose the processors of a hosted query's fragment chain:
+        head at the dominant stream's delegate, successors round-robin.
+        The fragment objects stay as they are — operator state moves
+        with them."""
+        procs = sorted(entity.processors)
+        start = procs.index(
+            self._anchor_proc(entity, hosted.spec.input_streams)
+        )
         hosted.chain_procs = [
             procs[(start + i) % len(procs)]
             for i in range(len(hosted.fragments))
         ]
-        chain = list(zip(hosted.fragments, hosted.chain_procs))
-        for index, (fragment, proc_id) in enumerate(chain):
-            task = self.flow.processors[(entity_id, proc_id)]
-            task.fragments[fragment.fragment_id] = fragment
-            if index + 1 < len(chain):
-                next_fragment, next_proc = chain[index + 1]
-                task.downstream[fragment.fragment_id] = (
-                    TO_PROC,
-                    next_proc,
-                    next_fragment.fragment_id,
-                )
-            else:
-                task.downstream[fragment.fragment_id] = (
-                    TO_RESULT,
-                    query_id,
-                )
-        routes = self._head_route_table(entity_id)
-        head = (hosted.fragments[0].fragment_id, hosted.chain_procs[0])
-        for stream_id in streams:
-            routes.setdefault(stream_id, []).append(head)
 
-    # ------------------------------------------------------------------
-    # Abort repair (gate still closed)
-    # ------------------------------------------------------------------
-    def _scrub_query(self, entity_id: str, query_id: str) -> None:
-        """Remove every trace of one query from an entity's dataflow.
+    def _place_shared(self, entity, group) -> None:
+        """Choose the processors of a freshly built group: the shared
+        prefix at the anchor, member taps round-robin after it."""
+        procs = sorted(entity.processors)
+        shared_proc = self._anchor_proc(entity, group.input_streams)
+        start = procs.index(shared_proc)
+        tap_procs: dict[str, str] = {}
+        for offset, qid in enumerate(group.members):
+            tap_procs[qid] = procs[(start + 1 + offset) % len(procs)]
+            hosted = entity.hosted[qid]
+            hosted.shared_group = group.group_id
+            # no reset: the tap slices the member's live suffix
+            # instances, whose window state must survive the re-share
+            hosted.fragments = [group.taps[qid]]
+            hosted.chain_procs = [tap_procs[qid]]
+        group.shared.reset_state()
+        entity.shared[group.group_id] = SharedDeployment(
+            group, shared_proc, tap_procs
+        )
 
-        Pops all of the query's private fragments (shared prefixes carry
-        the group id, so they are untouched) and drops any head-route
-        entries pointing at them — tolerant of partially applied
-        transfers where routes and fragments disagree.
-        """
-        entity = self.runtime.planner.entities[entity_id]
-        dropped: set[str] = set()
-        for proc_id in sorted(entity.processors):
-            task = self.flow.processors[(entity_id, proc_id)]
-            stale = [
-                fragment_id
-                for fragment_id, fragment in task.fragments.items()
-                if fragment.query_id == query_id
-            ]
-            for fragment_id in stale:
-                task.fragments.pop(fragment_id, None)
-                task.downstream.pop(fragment_id, None)
-                dropped.add(fragment_id)
-        hosted = entity.hosted.get(query_id)
-        if hosted is not None and hosted.fragments:
-            dropped.add(hosted.fragments[0].fragment_id)
-        routes = self._head_route_table(entity_id)
-        for stream_id, entries in routes.items():
-            routes[stream_id] = [
-                r for r in entries if r[0] not in dropped
-            ]
-
-    def _ensure_delegation(self, entity_id: str, streams) -> None:
-        """Assign a delegate for any input stream missing one."""
-        planner = self.runtime.planner
-        entity = planner.entities[entity_id]
-        for stream_id in streams:
-            if entity.delegation.delegate_of(stream_id) is None:
-                schema = planner.catalog.schema(stream_id)
-                entity.delegation.assign(
-                    stream_id, schema.bytes_per_second
-                )
-
-    def _abort_repair(self, moves: list[tuple[str, str, str]]) -> None:
-        """Roll a failed migration round back to a consistent placement.
-
-        Each moved query is re-anchored at whichever entity currently
-        records it as hosted: its wiring is scrubbed from both endpoints
-        and a fresh chain installed there (live fragment objects keep
-        their operator state).  Members still inside a shared group
-        simply return to the source untouched.  Sharing groups on every
-        touched entity are then recomputed — re-attaching any taps a
-        partial detach left dangling — and the trees re-derived.
-        """
-        planner = self.runtime.planner
-        for query_id, src_id, dst_id in sorted(moves):
-            src = planner.entities[src_id]
-            dst = planner.entities[dst_id]
-            hosted = dst.hosted.get(query_id) or src.hosted.get(query_id)
-            if hosted is None:
-                continue
-            if hosted.shared_group is not None:
-                # The member never left its group: the group wiring at
-                # the source is intact, only the hosting bookkeeping
-                # may have moved.  Put it back.
-                dst.hosted.pop(query_id, None)
-                src.hosted[query_id] = hosted
-                planner.allocation_result.assignment[query_id] = src_id
-                continue
-            host_id = dst_id if query_id in dst.hosted else src_id
-            planner.allocation_result.assignment[query_id] = host_id
-            for entity_id in sorted({src_id, dst_id}):
-                self._scrub_query(entity_id, query_id)
-            self._ensure_delegation(host_id, hosted.spec.input_streams)
-            self._install_chain(host_id, hosted)
-        if self.runtime.config.shared_execution:
-            touched = sorted(
-                {src for __, src, __dst in moves}
-                | {dst for __, __src, dst in moves}
-            )
-            for entity_id in touched:
-                self._reshare_entity(entity_id)
-        self._refresh_trees()
-
-    # ------------------------------------------------------------------
-    # Shared-computation surgery (all under the closed gate)
-    # ------------------------------------------------------------------
-    def _head_route_table(self, entity_id: str) -> dict:
-        """The entity's head-route dict (shared by all its processors)."""
-        planner = self.runtime.planner
-        proc_id = sorted(planner.entities[entity_id].processors)[0]
-        return self.flow.processors[(entity_id, proc_id)].head_routes
-
-    def _pop_fragment(
-        self, entity_id: str, proc_id: str, fragment_id: str
-    ) -> None:
-        task = self.flow.processors[(entity_id, proc_id)]
-        task.fragments.pop(fragment_id, None)
-        task.downstream.pop(fragment_id, None)
-
-    def _drop_head_routes(self, entity_id: str, fragment_id: str) -> None:
-        routes = self._head_route_table(entity_id)
-        for stream_id, entries in routes.items():
-            routes[stream_id] = [
-                r for r in entries if r[0] != fragment_id
-            ]
-
-    def _standalone_fragment(self, hosted) -> Fragment:
-        """One-fragment canonical chain for a query leaving a group.
+    def _make_standalone(self, hosted) -> None:
+        """Give a query a one-fragment canonical chain of its own.
 
         Wraps the query's cached canonical plan instances: the private
         suffix operators (which executed inside the tap fragment) keep
@@ -569,57 +399,114 @@ class QueryMigrator:
         """
         query_id = hosted.spec.query_id
         ops = hosted.canonical(self.runtime.planner.catalog).operators
-        return Fragment(
-            fragment_id=f"{query_id}#f0",
-            query_id=query_id,
-            index=0,
-            operators=list(ops),
-        )
+        hosted.shared_group = None
+        hosted.fragments = [
+            Fragment(
+                fragment_id=f"{query_id}#f0",
+                query_id=query_id,
+                index=0,
+                operators=list(ops),
+            )
+        ]
 
-    def _detach_shared(self, src_id: str, src, hosted) -> None:
+    def _ensure_delegation(self, entity, streams) -> None:
+        """Assign a delegate for any input stream missing one."""
+        catalog = self.runtime.planner.catalog
+        for stream_id in streams:
+            if entity.delegation.delegate_of(stream_id) is None:
+                entity.delegation.assign(
+                    stream_id, catalog.schema(stream_id).bytes_per_second
+                )
+
+    def _release_unneeded(self, entity, streams) -> None:
+        """Release delegation of ``streams`` no hosted query reads."""
+        catalog = self.runtime.planner.catalog
+        still_needed = {
+            s
+            for other in entity.hosted.values()
+            for s in other.spec.input_streams
+        }
+        for stream_id in streams:
+            if stream_id not in still_needed:
+                entity.delegation.release(
+                    stream_id, catalog.schema(stream_id).bytes_per_second
+                )
+
+    # ------------------------------------------------------------------
+    # Abort repair (gate still closed)
+    # ------------------------------------------------------------------
+    def _abort_repair(self, moves: list[tuple[str, str, str]]) -> None:
+        """Roll a failed migration round back to a consistent placement.
+
+        Each moved query is re-anchored at whichever entity currently
+        records it as hosted (live fragment objects keep their operator
+        state).  Members still inside a shared group simply return to
+        the source untouched.  Re-deriving both endpoints then drops
+        whatever a partially applied transfer left behind; sharing
+        groups on every touched entity are recomputed — re-attaching
+        any member a partial detach left standalone — and the trees
+        re-derived.
+        """
+        planner = self.runtime.planner
+        for query_id, src_id, dst_id in sorted(moves):
+            src = planner.entities[src_id]
+            dst = planner.entities[dst_id]
+            hosted = dst.hosted.get(query_id) or src.hosted.get(query_id)
+            if hosted is None:
+                continue
+            if hosted.shared_group is not None:
+                # The member never left its group: only the hosting
+                # bookkeeping may have moved.  Put it back.
+                dst.hosted.pop(query_id, None)
+                src.hosted[query_id] = hosted
+                planner.allocation_result.assignment[query_id] = src_id
+                continue
+            host = dst if query_id in dst.hosted else src
+            planner.allocation_result.assignment[query_id] = host.entity_id
+            self._ensure_delegation(host, hosted.spec.input_streams)
+            self._place_chain(host, hosted)
+        touched = self._touched(moves)
+        self._rewire(*touched)
+        if self.runtime.config.shared_execution:
+            for entity_id in touched:
+                self._reshare_entity(entity_id)
+        self._refresh_trees()
+
+    # ------------------------------------------------------------------
+    # Shared-computation model edits (all under the closed gate)
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _leave_group(deployment, query_id: str) -> None:
+        """Shrink a shared group's fan-out around a departing member."""
+        group = deployment.group
+        group.taps.pop(query_id, None)
+        deployment.tap_procs.pop(query_id, None)
+        group.members = tuple(m for m in group.members if m != query_id)
+        group.shared.members = group.members
+
+    def _detach_shared(self, src, hosted) -> None:
         """Remove one member from its shared group (gate closed).
 
-        The member's tap fragment is uninstalled and the group's fan-out
-        shrinks around it; the member itself continues as a standalone
-        canonical chain, which the caller's transfer then re-homes.  The
-        remaining group (possibly down to one member) is rebuilt by the
-        post-move :meth:`_reshare_entity` pass over the source entity.
+        The group's fan-out shrinks around the member, which continues
+        as a standalone canonical chain that the caller's transfer then
+        re-homes.  The remaining group (possibly down to one member) is
+        rebuilt by the post-move :meth:`_reshare_entity` pass over the
+        source entity.
         """
-        gid = hosted.shared_group
-        query_id = hosted.spec.query_id
-        deployment = src.shared.get(gid)
+        deployment = src.shared.get(hosted.shared_group)
         if deployment is not None:
-            group = deployment.group
-            if group.stateful:
+            if deployment.group.stateful:
                 raise ValueError(
-                    f"cannot migrate {query_id}: member of stateful "
-                    f"shared group {gid}"
+                    f"cannot migrate {hosted.spec.query_id}: member of "
+                    f"stateful shared group {hosted.shared_group}"
                 )
-            tap = group.taps.pop(query_id, None)
-            tap_proc = deployment.tap_procs.pop(query_id, None)
-            if tap is not None and tap_proc is not None:
-                self._pop_fragment(src_id, tap_proc, tap.fragment_id)
-            group.members = tuple(
-                m for m in group.members if m != query_id
-            )
-            group.shared.members = group.members
-            shared_task = self.flow.processors[
-                (src_id, deployment.shared_proc)
-            ]
-            shared_task.downstream[group.shared.fragment_id] = (
-                TO_TAPS,
-                tuple(
-                    (deployment.tap_procs[m], group.taps[m].fragment_id)
-                    for m in group.members
-                ),
-            )
-        hosted.shared_group = None
-        hosted.fragments = [self._standalone_fragment(hosted)]
+            self._leave_group(deployment, hosted.spec.query_id)
+        self._make_standalone(hosted)
 
     def _reshare_entity(self, entity_id: str) -> None:
         """Recompute one entity's sharing groups at quiescence.
 
-        Every stateless-prefix group is torn down and the optimizer
+        Every stateless-prefix group is dissolved and the optimizer
         rerun (``allow_stateful=False`` — a re-share must not fabricate
         shared window state mid-stream); queries that fall out of every
         group get standalone canonical chains.  Stateful groups formed
@@ -634,19 +521,7 @@ class QueryMigrator:
             if deployment.group.stateful:
                 continue
             del entity.shared[gid]
-            group = deployment.group
-            self._pop_fragment(
-                entity_id,
-                deployment.shared_proc,
-                group.shared.fragment_id,
-            )
-            self._drop_head_routes(entity_id, group.shared.fragment_id)
-            for qid, tap_proc in deployment.tap_procs.items():
-                tap = group.taps.get(qid)
-                if tap is not None:
-                    self._pop_fragment(
-                        entity_id, tap_proc, tap.fragment_id
-                    )
+            for qid in deployment.tap_procs:
                 member = entity.hosted.get(qid)
                 if member is not None:
                     member.shared_group = None
@@ -670,91 +545,12 @@ class QueryMigrator:
             else []
         )
         for group in groups:
-            for qid in group.members:
-                self._uninstall_chain(entity_id, entity.hosted[qid])
-                affected.discard(qid)
-            self._install_shared(entity_id, group)
+            affected.difference_update(group.members)
+            self._place_shared(entity, group)
         for qid in sorted(affected):
-            self._install_standalone(entity_id, entity.hosted[qid])
-
-    def _uninstall_chain(self, entity_id: str, hosted) -> None:
-        """Drop a query's current (unshared) chain from the dataflow."""
-        if hosted.fragments:
-            self._drop_head_routes(
-                entity_id, hosted.fragments[0].fragment_id
-            )
-        for fragment, proc_id in zip(
-            hosted.fragments, hosted.chain_procs
-        ):
-            self._pop_fragment(entity_id, proc_id, fragment.fragment_id)
-
-    def _anchor_proc(self, entity, input_streams) -> str:
-        """The delegation processor of the dominant input stream."""
-        catalog = self.runtime.planner.catalog
-        dominant = max(
-            input_streams, key=lambda s: catalog.schema(s).rate
-        )
-        procs = sorted(entity.processors)
-        delegate = entity.delegation.delegate_of(dominant)
-        return delegate if delegate in procs else procs[0]
-
-    def _install_shared(self, entity_id: str, group) -> None:
-        """Wire a freshly built group onto the entity's processors."""
-        planner = self.runtime.planner
-        entity = planner.entities[entity_id]
-        procs = sorted(entity.processors)
-        shared_proc = self._anchor_proc(entity, group.input_streams)
-        start = procs.index(shared_proc)
-        tap_list = []
-        tap_procs: dict[str, str] = {}
-        for offset, qid in enumerate(group.members):
-            tap = group.taps[qid]
-            tap_proc = procs[(start + 1 + offset) % len(procs)]
-            tap_procs[qid] = tap_proc
-            # no reset: the tap slices the member's live suffix
-            # instances, whose window state must survive the re-share
-            task = self.flow.processors[(entity_id, tap_proc)]
-            task.fragments[tap.fragment_id] = tap
-            task.downstream[tap.fragment_id] = (TO_RESULT, qid)
-            tap_list.append((tap_proc, tap.fragment_id))
-            hosted = entity.hosted[qid]
-            hosted.shared_group = group.group_id
-            hosted.fragments = [tap]
-            hosted.chain_procs = [tap_proc]
-        shared_task = self.flow.processors[(entity_id, shared_proc)]
-        group.shared.reset_state()
-        shared_task.fragments[group.shared.fragment_id] = group.shared
-        shared_task.downstream[group.shared.fragment_id] = (
-            TO_TAPS,
-            tuple(tap_list),
-        )
-        routes = self._head_route_table(entity_id)
-        for stream_id in group.input_streams:
-            routes.setdefault(stream_id, []).append(
-                (group.shared.fragment_id, shared_proc)
-            )
-        entity.shared[group.group_id] = SharedDeployment(
-            group, shared_proc, tap_procs
-        )
-
-    def _install_standalone(self, entity_id: str, hosted) -> None:
-        """Wire an ex-member's standalone canonical chain."""
-        planner = self.runtime.planner
-        entity = planner.entities[entity_id]
-        fragment = self._standalone_fragment(hosted)
-        query_id = hosted.spec.query_id
-        proc_id = self._anchor_proc(entity, hosted.spec.input_streams)
-        hosted.shared_group = None
-        hosted.fragments = [fragment]
-        hosted.chain_procs = [proc_id]
-        task = self.flow.processors[(entity_id, proc_id)]
-        task.fragments[fragment.fragment_id] = fragment
-        task.downstream[fragment.fragment_id] = (TO_RESULT, query_id)
-        routes = self._head_route_table(entity_id)
-        for stream_id in hosted.spec.input_streams:
-            routes.setdefault(stream_id, []).append(
-                (fragment.fragment_id, proc_id)
-            )
+            self._make_standalone(entity.hosted[qid])
+            self._place_chain(entity, entity.hosted[qid])
+        self._rewire(entity_id)
 
     # ------------------------------------------------------------------
     def _refresh_trees(self) -> None:
@@ -974,7 +770,7 @@ class AdaptationController:
             # the pause → drain → transfer → refresh protocol shows up
             # here as a violation, not as silently wrong results later.
             violations = audit_federation(
-                planner, trees=self.flow.trees
+                planner, dataflow=self.flow
             )
             self.metrics.record_audit(len(violations))
         else:

@@ -515,7 +515,7 @@ class ChaosRuntime(LiveRuntime):
             if gateway.control.crashed
         }
         violations = audit_federation(
-            self.planner, trees=flow.trees, exclude=crashed
+            self.planner, dataflow=flow, exclude=crashed
         )
         recovery = dataclasses.replace(
             self.recovery_metrics.build_report(),

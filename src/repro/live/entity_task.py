@@ -28,6 +28,7 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 
+from repro.core.wiring import Edge, ToPartitions, ToResult, ToTaps
 from repro.dissemination.tree import SOURCE, DisseminationTree
 from repro.engine.plan import Fragment
 from repro.live.channels import Batcher, ChannelClosed, LiveChannel
@@ -35,13 +36,6 @@ from repro.live.metrics import LiveMetrics
 from repro.live.transport import LiveTransport, WorkTracker
 from repro.placement.delegation import DelegationScheme
 from repro.streams.tuples import StreamTuple
-
-# Downstream descriptors for fragment outputs.
-TO_PROC = "proc"      # ("proc", proc_id, next_fragment_id)
-TO_RESULT = "result"  # ("result", query_id)
-TO_PARTS = "parts"    # ("parts", router, {dest: (proc_id, fragment_id)})
-TO_TAPS = "taps"      # ("taps", ((proc_id, tap_fragment_id), ...))
-
 
 class LiveClock:
     """The run's virtual clock, advanced by the source feeds.
@@ -372,7 +366,6 @@ class LiveGateway:
         *,
         batch_size: int = 8,
         service_wall: float = 0.0,
-        batch_execute: bool = True,
     ) -> None:
         self.entity_id = entity_id
         self.inbox = inbox
@@ -384,7 +377,6 @@ class LiveGateway:
         self.metrics = metrics
         self.clock = clock
         self.service_wall = service_wall
-        self.batch_execute = batch_execute
         self.control = TaskControl()
         self._proc_batchers = {
             proc: Batcher(batch_size) for proc in proc_channels
@@ -414,11 +406,7 @@ class LiveGateway:
                 batch = await self.inbox.get()
             except ChannelClosed:
                 break
-            if self.batch_execute:
-                await self._handle_batch(batch)
-            else:
-                for tup in batch:
-                    await self._handle(tup)
+            await self._handle_batch(batch)
             await self.forwarder.flush()
             await self._flush_procs()
             self.tracker.done(len(batch))
@@ -426,10 +414,10 @@ class LiveGateway:
     async def _handle_batch(self, batch: list[StreamTuple]) -> None:
         """Process one inbox batch without unbatching it.
 
-        Deliveries are recorded in order, the whole batch is relayed via
+        Deliveries are recorded in order, the whole batch is relayed to
+        child entities first (the paper's cooperative duty) via
         :meth:`TreeForwarder.forward_batch`, and delegate intake is
-        appended to the per-processor batchers in arrival order — every
-        per-destination tuple sequence matches the per-tuple path.
+        appended to the per-processor batchers in arrival order.
         """
         now = self.clock.now
         record = self.metrics.record_delivery
@@ -458,27 +446,6 @@ class LiveGateway:
             for full in self._proc_batchers[delegate].add_many(items):
                 await self.transport.send(proc_channels[delegate], full)
 
-    async def _handle(self, tup: StreamTuple) -> None:
-        self.metrics.record_delivery(self.entity_id, tup, self.clock.now)
-        if self.service_wall > 0.0:
-            await asyncio.sleep(self.service_wall)
-        # relay to child entities first (the paper's cooperative duty),
-        # then hand the tuple to the local delegation processor
-        await self.forwarder.forward(tup)
-        delegate = self.delegation.delegate_of(tup.stream_id)
-        if delegate is None or delegate not in self.proc_channels:
-            return
-        if self._replay_depth:
-            buf = self._recent.get(tup.stream_id)
-            if buf is None:
-                buf = self._recent[tup.stream_id] = deque(
-                    maxlen=self._replay_depth
-                )
-            buf.append(tup)
-        full = self._proc_batchers[delegate].add((None, tup))
-        if full is not None:
-            await self.transport.send(self.proc_channels[delegate], full)
-
     async def _flush_procs(self) -> None:
         for proc, batcher in self._proc_batchers.items():
             batch = batcher.take()
@@ -500,8 +467,6 @@ class LiveProcessor:
         entity_id: str,
         proc_id: str,
         inbox: LiveChannel,
-        fragments: dict[str, Fragment],
-        downstream: dict[str, tuple],
         head_routes: dict[str, list[tuple[str, str]]],
         proc_channels: dict[str, LiveChannel],
         result_channel: LiveChannel,
@@ -511,14 +476,16 @@ class LiveProcessor:
         clock: LiveClock,
         *,
         batch_size: int = 8,
-        batch_execute: bool = True,
+        throttle=None,
     ) -> None:
         self.entity_id = entity_id
         self.proc_id = proc_id
-        self.batch_execute = batch_execute
         self.inbox = inbox
-        self.fragments = fragments
-        self.downstream = downstream
+        # Execution tables, loaded (and on every online change reloaded
+        # in place) by LiveDataflow.rewire; head_routes is one dict
+        # shared by all of the entity's processors.
+        self.fragments: dict[str, Fragment] = {}
+        self.downstream: dict[str, Edge] = {}
         self.head_routes = head_routes
         self.proc_channels = proc_channels
         self.result_channel = result_channel
@@ -530,7 +497,7 @@ class LiveProcessor:
         # Optional per-tenant intake throttle (the control plane's
         # weighted-fair token buckets).  None — the default — keeps the
         # delegate-routing hot path allocation- and branch-free.
-        self.throttle = None
+        self.throttle = throttle
         self._proc_batchers = {
             proc: Batcher(batch_size)
             for proc in proc_channels
@@ -548,14 +515,7 @@ class LiveProcessor:
                 batch = await self.inbox.get()
             except ChannelClosed:
                 break
-            if self.batch_execute:
-                await self._execute_batch(batch)
-            else:
-                for fragment_id, tup in batch:
-                    if fragment_id is None:
-                        await self._intake(tup)
-                    else:
-                        await self._run_fragment(fragment_id, tup)
+            await self._execute_batch(batch)
             await self._flush()
             self.tracker.done(len(batch))
 
@@ -567,8 +527,7 @@ class LiveProcessor:
         Consecutive items addressed to the same fragment (the common
         case — upstream batches per destination) run through the fused
         fragment pipeline as one batch; each fragment still consumes its
-        tuples in exactly the arrival order, so outputs match the
-        per-tuple path.
+        tuples in exactly the arrival order.
         """
         start, n = 0, len(items)
         while start < n:
@@ -638,42 +597,27 @@ class LiveProcessor:
         outputs = fragment.run_batch(batch, self.clock.now)
         if not outputs:
             return
-        kind, *rest = self.downstream[fragment_id]
-        if kind == TO_TAPS:
-            (taps,) = rest
-            await self._fan_to_taps_batch(taps, outputs)
+        edge = self.downstream[fragment_id]
+        kind = type(edge)
+        if kind is ToTaps:
+            await self._fan_to_taps_batch(edge.taps, outputs)
             return
-        if kind == TO_RESULT:
-            (query_id,) = rest
+        if kind is ToResult:
+            query_id = edge.query_id
             items = [(query_id, out) for out in outputs]
             for full in self._result_batcher.add_many(items):
                 await self.transport.send(self.result_channel, full)
             return
-        if kind == TO_PARTS:
-            router, routes = rest
-            await self._route_partitions(router, routes, outputs)
+        if kind is ToPartitions:
+            await self._route_partitions(edge.router, edge.routes, outputs)
             return
-        proc_id, next_fragment_id = rest
+        proc_id, next_fragment_id = edge
         if proc_id == self.proc_id:
             await self._run_fragment_batch(next_fragment_id, outputs)
             return
         items = [(next_fragment_id, out) for out in outputs]
         for full in self._proc_batchers[proc_id].add_many(items):
             await self.transport.send(self.proc_channels[proc_id], full)
-
-    async def _intake(self, tup: StreamTuple) -> None:
-        """Delegate routing: raw stream tuple to every head fragment."""
-        for fragment_id, proc in self.head_routes.get(tup.stream_id, []):
-            if self.throttle is not None and not self.throttle.admit(
-                fragment_id, [tup], self.clock.now
-            ):
-                continue
-            if proc == self.proc_id:
-                await self._run_fragment(fragment_id, tup)
-            else:
-                full = self._proc_batchers[proc].add((fragment_id, tup))
-                if full is not None:
-                    await self.transport.send(self.proc_channels[proc], full)
 
     async def _fan_to_taps_batch(
         self, taps: tuple, outputs: list[StreamTuple]
@@ -692,50 +636,6 @@ class LiveProcessor:
                 for full in self._proc_batchers[proc_id].add_many(items):
                     await self.transport.send(self.proc_channels[proc_id], full)
 
-    async def _run_fragment(self, fragment_id: str, tup: StreamTuple) -> None:
-        fragment = self.fragments.get(fragment_id)
-        if fragment is None:
-            return
-        self._record_busy(fragment, fragment.cost_for(tup))
-        outputs = fragment.run(tup, self.clock.now)
-        if not outputs:
-            return
-        kind, *rest = self.downstream[fragment_id]
-        if kind == TO_TAPS:
-            (taps,) = rest
-            for proc_id, tap_id in taps:
-                if proc_id == self.proc_id:
-                    for out in outputs:
-                        await self._run_fragment(tap_id, out)
-                else:
-                    for out in outputs:
-                        full = self._proc_batchers[proc_id].add((tap_id, out))
-                        if full is not None:
-                            await self.transport.send(
-                                self.proc_channels[proc_id], full
-                            )
-            return
-        if kind == TO_RESULT:
-            (query_id,) = rest
-            for out in outputs:
-                full = self._result_batcher.add((query_id, out))
-                if full is not None:
-                    await self.transport.send(self.result_channel, full)
-            return
-        if kind == TO_PARTS:
-            router, routes = rest
-            await self._route_partitions(router, routes, outputs)
-            return
-        proc_id, next_fragment_id = rest
-        if proc_id == self.proc_id:
-            for out in outputs:
-                await self._run_fragment(next_fragment_id, out)
-            return
-        for out in outputs:
-            full = self._proc_batchers[proc_id].add((next_fragment_id, out))
-            if full is not None:
-                await self.transport.send(self.proc_channels[proc_id], full)
-
     async def _route_partitions(
         self, router, routes: dict, outputs: list[StreamTuple]
     ) -> None:
@@ -752,7 +652,7 @@ class LiveProcessor:
             for dest, event in router.route(out):
                 proc_id, fragment_id = routes[dest]
                 if proc_id == self.proc_id:
-                    await self._run_fragment(fragment_id, event)
+                    await self._run_fragment_batch(fragment_id, [event])
                 else:
                     full = self._proc_batchers[proc_id].add(
                         (fragment_id, event)

@@ -17,9 +17,10 @@ module wires those (clock-free) repairs to a live failure signal:
   (:class:`~repro.coordination.membership.MembershipRepair`); a
   processor failure re-delegates its streams
   (:meth:`~repro.placement.delegation.DelegationScheme.fail_processor`),
-  re-homes its fragments onto a survivor, rewrites the entity's
-  inter-processor routes, and replays the gateway's buffered delegate
-  tuples to the new delegate (at-least-once: replay may duplicate).
+  re-homes its fragments onto a survivor in the hosting model,
+  re-derives the entity's wiring from it, and replays the gateway's
+  buffered delegate tuples to the new delegate (at-least-once: replay
+  may duplicate).
 
 Everything iterates in sorted order and takes time only from the
 caller-supplied ``now`` callable, so chaos runs stay deterministic.
@@ -32,7 +33,6 @@ from typing import Awaitable, Callable
 
 from repro.coordination.membership import MembershipRepair
 from repro.dissemination.maintenance import repair_after_crash
-from repro.live.entity_task import TO_PROC
 from repro.live.runtime import LiveDataflow
 from repro.monitoring.recovery import RecoveryMetrics
 
@@ -174,32 +174,26 @@ class RecoveryManager:
         moved = entity.delegation.fail_processor(proc_id)
         self.metrics.failovers += len(moved)
         self.metrics.streams_unrecovered += len(stranded) - len(moved)
-        dead = flow.processors.get((entity_id, proc_id))
-        if dead is None or not survivors:
+        if not survivors:
             return
 
-        # Re-home the dead processor's fragments onto one survivor and
-        # point every route at the new home; head_routes is shared by
-        # the entity's processors, so one rewrite fixes them all.
+        # Re-home the dead processor's fragments onto one survivor in
+        # the hosting model, then re-derive the entity's tables — every
+        # chain hop, fan-out and head route follows.  No await separates
+        # the edit from the swap, so no task sees a half-moved entity.
         home = survivors[0]
-        home_task = flow.processors[(entity_id, home)]
-        for fragment_id in sorted(dead.fragments):
-            home_task.fragments[fragment_id] = dead.fragments.pop(fragment_id)
-            home_task.downstream[fragment_id] = dead.downstream.pop(
-                fragment_id
-            )
-        for (owner, proc), task in sorted(flow.processors.items()):
-            if owner != entity_id or task is dead:
-                continue
-            for fragment_id, route in sorted(task.downstream.items()):
-                if route[0] == TO_PROC and route[1] == proc_id:
-                    task.downstream[fragment_id] = (TO_PROC, home, route[2])
-        head_routes = home_task.head_routes
-        for stream_id in sorted(head_routes):
-            head_routes[stream_id] = [
-                (fragment_id, home if proc == proc_id else proc)
-                for fragment_id, proc in head_routes[stream_id]
-            ]
+
+        def rehome(proc: str) -> str:
+            return home if proc == proc_id else proc
+
+        for hosted in entity.hosted.values():
+            hosted.chain_procs = [rehome(p) for p in hosted.chain_procs]
+        for deployment in entity.shared.values():
+            deployment.shared_proc = rehome(deployment.shared_proc)
+            deployment.tap_procs = {
+                qid: rehome(p) for qid, p in deployment.tap_procs.items()
+            }
+        flow.rewire(entity)
 
         if not self.replay:
             return

@@ -33,16 +33,14 @@ import asyncio
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
+from repro.core.entity import Entity
 from repro.core.system import FederatedSystem, SystemConfig
+from repro.core.wiring import derive_wiring
 from repro.dissemination.tree import SOURCE, DisseminationTree
 from repro.live.channels import LAN, WAN, LiveChannel
-from repro.engine.partition import PartitionRouter
 from repro.live.entity_task import (
-    TO_PARTS,
-    TO_PROC,
-    TO_RESULT,
-    TO_TAPS,
     LiveClock,
     LiveGateway,
     LiveProcessor,
@@ -55,6 +53,9 @@ from repro.live.transport import FaultInjector, LiveTransport, WorkTracker
 from repro.query.spec import QuerySpec
 from repro.streams.catalog import StreamCatalog
 from repro.streams.tuples import StreamTuple
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.control.quotas import TenantThrottle
 
 
 @dataclass(frozen=True)
@@ -71,12 +72,6 @@ class LiveSettings:
         batch_size: Tuples per transport batch.
         batch_linger: In scaled runs, the longest a partial source
             batch may wait before being flushed (virtual seconds).
-        batch_execute: Execute received batches through the fused batch
-            dataplane (gateways relay and delegate whole batches,
-            processors run fragments via ``run_batch``).  ``False``
-            falls back to unbatching every received batch and processing
-            tuple by tuple — the pre-dataplane behaviour, kept as the
-            benchmark baseline.  Both paths are output-identical.
         wan_latency / lan_latency: Modeled per-hop delivery latency in
             virtual seconds (scaled by ``time_scale`` into wall time;
             defaults match the simulated network's tier constants).
@@ -98,7 +93,6 @@ class LiveSettings:
     channel_capacity: int = 256
     batch_size: int = 8
     batch_linger: float = 0.05
-    batch_execute: bool = True
     wan_latency: float = 0.010
     lan_latency: float = 0.0005
     send_timeout: float = 0.25
@@ -199,6 +193,42 @@ class LiveDataflow:
     feeds: list[LiveSourceFeed] = field(default_factory=list)
     collector: ResultCollector | None = None
 
+    def rewire(self, entity: Entity) -> None:
+        """(Re)load one entity's execution tables from its hosting model.
+
+        The single writer of the processors' ``fragments`` /
+        ``downstream`` / ``head_routes`` tables: the wiring is derived
+        afresh (:func:`~repro.core.wiring.derive_wiring`) and swapped in
+        *in place* — the tables are shared with the running tasks — so
+        an online change is "edit the model, call this".  The swap is
+        synchronous; callers either hold the dataflow quiescent
+        (migration, control plane) or tolerate losing what was in
+        flight (processor fail-over).  With tenant quotas on, every
+        standalone head fragment is (re)bound to its owner's bucket.
+        """
+        wiring = derive_wiring(entity)
+        tasks = [
+            self.processors[(entity.entity_id, proc_id)]
+            for proc_id in entity.processors
+        ]
+        # one head-route table and one throttle serve all of them
+        head_routes, throttle = tasks[0].head_routes, tasks[0].throttle
+        if throttle is not None:
+            for routes in head_routes.values():
+                for fragment_id, __ in routes:
+                    throttle.unbind(fragment_id)
+            for fragment_id, tenant in wiring.head_tenants.items():
+                throttle.bind(fragment_id, tenant)
+        for task in tasks:
+            for table, derived in (
+                (task.fragments, wiring.fragments[task.proc_id]),
+                (task.downstream, wiring.downstream[task.proc_id]),
+            ):
+                table.clear()
+                table.update(derived)
+        head_routes.clear()
+        head_routes.update(wiring.head_routes)
+
     def all_channels(self) -> list[LiveChannel]:
         """Every channel of the dataflow (inboxes, LAN, results)."""
         return (
@@ -240,6 +270,8 @@ class LiveRuntime:
         # simulator is used once, to record the seeded source trace.
         self.planner = FederatedSystem(catalog, config)
         self.metrics = LiveMetrics()
+        # Tenant intake throttle; only the control runtime installs one.
+        self.throttle: "TenantThrottle | None" = None
         self.report: LiveReport | None = None
         self.dataflow: LiveDataflow | None = None
         self.loop_factory: Callable[[], asyncio.AbstractEventLoop] | None = None
@@ -394,105 +426,11 @@ class LiveRuntime:
             trees=trees,
         )
 
-        # --- per-processor execution tables --------------------------
-        # (fragments, downstream wiring, and delegate head routes are
-        # read straight off the planner's deployed entities; only the
-        # entities this runtime owns get executing tasks)
+        # --- per-entity tasks -----------------------------------------
+        # (only the entities this runtime owns get executing tasks)
         for entity_id, entity in planner.entities.items():
             if not strategy.owns_entity(entity_id):
                 continue
-            fragments: dict[str, dict] = {
-                proc_id: {} for proc_id in entity.processors
-            }
-            downstream: dict[str, dict[str, tuple]] = {
-                proc_id: {} for proc_id in entity.processors
-            }
-            head_routes: dict[str, list[tuple[str, str]]] = {}
-            for hosted in entity.hosted.values():
-                if hosted.shared_group is not None:
-                    # wired below through the entity's shared deployments
-                    continue
-                chain = list(zip(hosted.fragments, hosted.chain_procs))
-                for fragment, proc_id in chain:
-                    fragment.reset_state()
-                    fragments[proc_id][fragment.fragment_id] = fragment
-                if hosted.partition is not None:
-                    # Partition-parallel layout: pre fans out through
-                    # the router, partitions converge on the merge.
-                    deployment = hosted.partition
-                    deployment.router.reset()
-                    procs = hosted.chain_procs
-                    pre_proc = procs[0]
-                    part_procs = procs[1:-1]
-                    merge_proc = procs[-1]
-                    merge_id = deployment.merge.fragment_id
-                    routes: dict = {
-                        index: (proc, part.fragment_id)
-                        for index, (part, proc) in enumerate(
-                            zip(deployment.parts, part_procs)
-                        )
-                    }
-                    routes[PartitionRouter.MERGE] = (merge_proc, merge_id)
-                    downstream[pre_proc][deployment.pre.fragment_id] = (
-                        TO_PARTS,
-                        deployment.router,
-                        routes,
-                    )
-                    for part, proc in zip(deployment.parts, part_procs):
-                        downstream[proc][part.fragment_id] = (
-                            TO_PROC,
-                            merge_proc,
-                            merge_id,
-                        )
-                    downstream[merge_proc][merge_id] = (
-                        TO_RESULT,
-                        hosted.spec.query_id,
-                    )
-                else:
-                    for index, (fragment, proc_id) in enumerate(chain):
-                        if index + 1 < len(chain):
-                            next_fragment, next_proc = chain[index + 1]
-                            downstream[proc_id][fragment.fragment_id] = (
-                                TO_PROC,
-                                next_proc,
-                                next_fragment.fragment_id,
-                            )
-                        else:
-                            downstream[proc_id][fragment.fragment_id] = (
-                                TO_RESULT,
-                                hosted.spec.query_id,
-                            )
-                head_fragment, head_proc = chain[0]
-                for stream_id in hosted.spec.input_streams:
-                    head_routes.setdefault(stream_id, []).append(
-                        (head_fragment.fragment_id, head_proc)
-                    )
-
-            # Shared-computation groups: one shared prefix fragment per
-            # group (registered as the single head route for the group's
-            # input streams) fanning out to per-member tap fragments.
-            for deployment in entity.shared.values():
-                group = deployment.group
-                shared = group.shared
-                shared.reset_state()
-                fragments[deployment.shared_proc][shared.fragment_id] = shared
-                tap_list = []
-                for qid in group.members:
-                    tap = group.taps[qid]
-                    tap.reset_state()
-                    tap_proc = deployment.tap_procs[qid]
-                    fragments[tap_proc][tap.fragment_id] = tap
-                    downstream[tap_proc][tap.fragment_id] = (TO_RESULT, qid)
-                    tap_list.append((tap_proc, tap.fragment_id))
-                downstream[deployment.shared_proc][shared.fragment_id] = (
-                    TO_TAPS,
-                    tuple(tap_list),
-                )
-                for stream_id in group.input_streams:
-                    head_routes.setdefault(stream_id, []).append(
-                        (shared.fragment_id, deployment.shared_proc)
-                    )
-
             forwarder = TreeForwarder(
                 entity_id,
                 trees,
@@ -515,15 +453,13 @@ class LiveRuntime:
                 clock,
                 batch_size=settings.batch_size,
                 service_wall=settings.gateway_service_wall,
-                batch_execute=settings.batch_execute,
             )
+            head_routes: dict[str, list[tuple[str, str]]] = {}
             for proc_id in entity.processors:
                 flow.processors[(entity_id, proc_id)] = LiveProcessor(
                     entity_id,
                     proc_id,
                     proc_channels[entity_id][proc_id],
-                    fragments[proc_id],
-                    downstream[proc_id],
                     head_routes,
                     proc_channels[entity_id],
                     result_channel,
@@ -532,8 +468,13 @@ class LiveRuntime:
                     self.metrics,
                     clock,
                     batch_size=settings.batch_size,
-                    batch_execute=settings.batch_execute,
+                    throttle=self.throttle,
                 )
+            # Fragments, out-edges and delegate head routes come off the
+            # planner's hosting model; a run starts from fresh operator
+            # and router state.
+            entity.reset_state()
+            flow.rewire(entity)
 
         flow.collector = strategy.result_consumer(flow)
         flow.feeds = [

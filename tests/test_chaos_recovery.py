@@ -304,7 +304,7 @@ def test_killing_a_streams_only_delegate_redelegates_it():
     from repro.analysis.invariants import audit_federation
 
     assert (
-        audit_federation(runtime.planner, trees=runtime.dataflow.trees)
+        audit_federation(runtime.planner, dataflow=runtime.dataflow)
         == []
     )
 

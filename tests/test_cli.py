@@ -210,7 +210,7 @@ def test_check_reports_invariants_hold(capsys):
     assert "invariants hold" in out
 
 
-def test_profile_demo_per_tuple_sort_tottime(capsys):
+def test_profile_demo_sort_tottime(capsys):
     code = main(
         [
             "profile",

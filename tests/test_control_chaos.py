@@ -95,7 +95,7 @@ def test_chaos_churn_run_completes_and_audits_clean(churn_under_chaos):
     assert (
         audit_federation(
             chaos.planner,
-            trees=chaos.dataflow.trees,
+            dataflow=chaos.dataflow,
             exclude=tuple(sorted(crashed)),
         )
         == []

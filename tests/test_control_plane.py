@@ -10,6 +10,7 @@ group leaves the remaining members' results untouched.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -32,7 +33,7 @@ from repro.distributed.specs import (
     query_to_spec,
 )
 from repro.interest.predicates import StreamInterest
-from repro.live import LiveSettings
+from repro.live import AdaptationSettings, LiveSettings
 from repro.query.spec import QuerySpec
 from repro.streams.tuples import StreamTuple
 from repro.workloads import churn_workload, sharing_workload
@@ -150,14 +151,12 @@ def test_throttle_unbound_and_unknown_tenants_pass_through():
     assert throttle.total_shed == 0
 
 
-def test_throttle_rebind_and_unbind_follow_fragments():
+def test_throttle_unbind_stops_charging_the_fragment():
     throttle = TenantThrottle(10.0, {"a": 1.0}, burst_seconds=0.1)
-    throttle.bind("old", "a")
-    throttle.rebind("old", "new")
-    assert len(throttle.admit("old", _batch(10), now=0.0)) == 10
-    assert len(throttle.admit("new", _batch(10), now=0.0)) == 1
-    throttle.unbind("new")
-    assert len(throttle.admit("new", _batch(10), now=0.0)) == 10
+    throttle.bind("head", "a")
+    assert len(throttle.admit("head", _batch(10), now=0.0)) == 1
+    throttle.unbind("head")
+    assert len(throttle.admit("head", _batch(10), now=0.0)) == 10
 
 
 def test_throttle_validates_inputs():
@@ -295,8 +294,73 @@ def test_teardown_of_shared_member_keeps_other_members_results():
     # the leaver stopped early: a strict prefix of its full-run set
     assert keys(torn, leaver) < keys(intact, leaver)
     assert (
-        audit_federation(torn.planner, trees=torn.dataflow.trees) == []
+        audit_federation(torn.planner, dataflow=torn.dataflow) == []
     )
+
+
+# ----------------------------------------------------------------------
+# Quotas follow the wiring: no escape through a dissolved shared group
+# ----------------------------------------------------------------------
+def test_quota_charges_survivors_of_a_dissolved_shared_group():
+    """Tearing a shared group down to one member re-installs the
+    survivor as a standalone chain; from then on its head must be
+    charged to its tenant's bucket like any other standalone head (it
+    used to come back unbound and run unthrottled)."""
+    quota, duration, teardown_at = 5.0, 4.0, 1.0
+    catalog, config, queries = sharing_workload(overlap=0.8)
+    queries = [replace(query, tenant="a") for query in queries]
+    config = replace(
+        config, tenant_quota_rate=quota, tenant_weights=(("a", 1.0),)
+    )
+
+    def build(events):
+        runtime = ControlRuntime(
+            catalog,
+            config,
+            LiveSettings(duration=duration, batch_size=8),
+            # no load-driven migrations: survivors stay where they are
+            AdaptationSettings(imbalance_threshold=1e9),
+            events=events,
+        )
+        runtime.submit(queries)
+        return runtime
+
+    groups = [
+        deployment.group.members
+        for entity in build([]).planner.entities.values()
+        for deployment in entity.shared.values()
+    ]
+    assert groups, "the overlap workload formed no shared group"
+    runtime = build(
+        [
+            ControlEvent(at=teardown_at, action="teardown", query_id=member)
+            for members in groups
+            for member in members[1:]
+        ]
+    )
+    runtime.run()
+
+    # every group dissolved; each survivor is a standalone chain whose
+    # head is bound (an unbound head would admit the whole batch)
+    standalone = [
+        hosted
+        for entity in runtime.planner.entities.values()
+        for hosted in entity.hosted.values()
+    ]
+    assert {h.spec.query_id for h in standalone} >= {g[0] for g in groups}
+    for hosted in standalone:
+        assert hosted.shared_group is None
+        head = hosted.fragments[0].fragment_id
+        assert len(runtime.throttle.admit(head, _batch(500), 1e9)) < 500
+    # ... and the bucket really limited them: a torn-down member's count
+    # is what its group's survivor had delivered by the teardown, and
+    # everything after that fits in tenant a's budget
+    after_teardown = sum(
+        len(runtime.results[members[0]]) - len(runtime.results[members[1]])
+        for members in groups
+    )
+    assert after_teardown <= quota * (duration - teardown_at) + 2
+    assert audit_federation(runtime.planner, dataflow=runtime.dataflow) == []
 
 
 # ----------------------------------------------------------------------

@@ -153,10 +153,10 @@ def test_migrated_placement_matches_hosting(static_and_adaptive):
                     "not in its dissemination tree"
                 )
     # ... and the full structural audit agrees: coordinator bounds,
-    # tree/interest consistency, delegation totality, hosting
+    # tree/interest consistency, delegation totality, hosting, wiring
     from repro.analysis.invariants import audit_federation
 
-    assert audit_federation(planner, trees=trees) == []
+    assert audit_federation(planner, dataflow=adaptive.dataflow) == []
 
 
 def test_feed_gate_parks_and_releases():

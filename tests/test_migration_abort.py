@@ -126,7 +126,7 @@ def assert_recovered(runtime, report, static_keys):
     assert report.dropped_tuples == 0
     # the repaired placement passes the full structural audit
     assert audit_federation(
-        runtime.planner, trees=runtime.dataflow.trees
+        runtime.planner, dataflow=runtime.dataflow
     ) == []
     # hosting bookkeeping agrees with the assignment after repair
     hosted_at = {
