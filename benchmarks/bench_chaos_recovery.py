@@ -13,7 +13,13 @@ from __future__ import annotations
 
 from repro.bench.reporting import Table, emit, print_header
 from repro.core.system import SystemConfig
-from repro.live import ChaosEvent, ChaosRuntime, ChaosSettings, LiveSettings
+from repro.live import (
+    Chaos,
+    ChaosEvent,
+    ChaosSettings,
+    LiveRuntime,
+    LiveSettings,
+)
 from repro.query.generator import WorkloadConfig, generate_workload
 from repro.streams.catalog import stock_catalog
 
@@ -23,16 +29,16 @@ SEED = 47
 FAULT_COUNTS = [1, 2, 3]
 
 
-def build_runtime(recovery: bool) -> ChaosRuntime:
+def build_runtime(recovery: bool) -> LiveRuntime:
     catalog = stock_catalog(exchanges=2, rate=100.0)
     config = SystemConfig(
         entity_count=4, processors_per_entity=2, seed=SEED
     )
-    runtime = ChaosRuntime(
+    runtime = LiveRuntime(
         catalog,
         config,
         LiveSettings(duration=DURATION, batch_size=8),
-        chaos=ChaosSettings(recovery=recovery),
+        services=[Chaos(settings=ChaosSettings(recovery=recovery))],
     )
     workload = generate_workload(
         catalog,
@@ -45,7 +51,7 @@ def build_runtime(recovery: bool) -> ChaosRuntime:
     return runtime
 
 
-def delegate_victims(runtime: ChaosRuntime, count: int) -> list[str]:
+def delegate_victims(runtime: LiveRuntime, count: int) -> list[str]:
     """Processors that are delegates of at least one stream (crashing
     them forces a §4 failover), at most one per entity so a survivor
     always exists."""
@@ -59,7 +65,7 @@ def delegate_victims(runtime: ChaosRuntime, count: int) -> list[str]:
     return victims[:count]
 
 
-def crash_script(runtime: ChaosRuntime, faults: int) -> list[ChaosEvent]:
+def crash_script(runtime: LiveRuntime, faults: int) -> list[ChaosEvent]:
     victims = delegate_victims(runtime, faults)
     return [
         ChaosEvent(
@@ -76,7 +82,7 @@ def run_pair(faults: int):
     outcomes = {}
     for recovery in (True, False):
         runtime = build_runtime(recovery)
-        runtime.script = crash_script(runtime, faults)
+        runtime.service(Chaos).script = crash_script(runtime, faults)
         outcomes[recovery] = runtime.run()
     return outcomes[True], outcomes[False]
 

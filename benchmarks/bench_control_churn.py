@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from repro.analysis.invariants import audit_federation
 from repro.bench.reporting import Table, emit, print_header, write_bench_json
-from repro.control import ControlRuntime
-from repro.live import LiveSettings
+from repro.control import Control
+from repro.live import Adaptation, LiveRuntime, LiveSettings
 from repro.workloads import churn_workload
 
 SEED = 7
@@ -53,11 +53,11 @@ def run_churn_leg():
         duration=CHURN_DURATION,
         churn_per_minute=CHURN_PER_MINUTE,
     )
-    runtime = ControlRuntime(
+    runtime = LiveRuntime(
         catalog,
         config,
         LiveSettings(duration=CHURN_DURATION, batch_size=8),
-        events=events,
+        services=[Adaptation(), Control(events=events)],
     )
     runtime.submit(queries)
     report = runtime.run()
@@ -78,11 +78,12 @@ def run_fairness_leg():
         spike_tenant="tenant-a",
         spike_factor=SPIKE_FACTOR,
     )
-    runtime = ControlRuntime(
+    runtime = LiveRuntime(
         catalog,
         config,
         LiveSettings(duration=FAIRNESS_DURATION, batch_size=8),
-        events=(),  # quotas only: no churn riding on this leg
+        # quotas only: no churn riding on this leg
+        services=[Adaptation(), Control()],
     )
     runtime.submit(queries)
     return runtime.run()

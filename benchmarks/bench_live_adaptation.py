@@ -6,7 +6,7 @@ rate while every other stream decays to a quarter — so the static
 placement is increasingly wrong as the run proceeds.  The same recorded
 trace (same seed, same rate profiles) replays four times: once on the
 static :class:`~repro.live.LiveRuntime` and once per repartitioning
-strategy on the :class:`~repro.live.AdaptiveRuntime`.
+strategy with the :class:`~repro.live.Adaptation` service listed.
 
 Claims checked:
 
@@ -26,8 +26,8 @@ from __future__ import annotations
 from repro.bench.reporting import Table, emit, print_header, write_bench_json
 from repro.core.system import SystemConfig
 from repro.live import (
+    Adaptation,
     AdaptationSettings,
-    AdaptiveRuntime,
     LiveRuntime,
     LiveSettings,
 )
@@ -52,17 +52,16 @@ def run_once(strategy: str | None):
     settings = LiveSettings(
         duration=DURATION, batch_size=16, send_timeout=2.0, max_retries=6
     )
-    if strategy is None:
-        runtime = LiveRuntime(catalog, config, settings)
-    else:
-        runtime = AdaptiveRuntime(
-            catalog,
-            config,
-            settings,
-            AdaptationSettings(
-                period=0.5, strategy=strategy, imbalance_threshold=1.15
-            ),
+    services = []
+    if strategy is not None:
+        services.append(
+            Adaptation(
+                AdaptationSettings(
+                    period=0.5, strategy=strategy, imbalance_threshold=1.15
+                )
+            )
         )
+    runtime = LiveRuntime(catalog, config, settings, services=services)
     workload = generate_workload(
         catalog,
         WorkloadConfig(

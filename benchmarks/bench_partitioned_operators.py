@@ -5,7 +5,7 @@ The partition workload's per-symbol aggregates run over a skewed (Zipf
 aggregate stage — not the upstream filters — is the CPU bottleneck.
 The same federation then runs at partition parallelism 1, 2, and 4, and
 once more at 4 with the skew-aware rebalanced spec installed (the
-steady state after ``AdaptiveRuntime``'s skew trigger has fired, here
+steady state after the ``Adaptation`` service's skew trigger has fired, here
 warm-started from a probe run's key histogram so the simulator measures
 the post-rebalance regime directly).
 

@@ -32,7 +32,7 @@ from typing import Any
 
 from repro.analysis.concurrency.hb import HBMonitor
 from repro.analysis.concurrency.instrument import (
-    install_runtime_instrumentation,
+    Instrumentation,
     wrap_credit_gate,
 )
 from repro.analysis.concurrency.schedule import (
@@ -183,8 +183,9 @@ class _RuntimeScenario(Scenario):
 
     # -- per-scenario hooks --------------------------------------------
 
-    def build(self) -> Any:
-        """Return a fresh, submitted runtime for one run."""
+    def build(self, instrumentation: Instrumentation) -> Any:
+        """Return a fresh, submitted runtime for one run, with
+        ``instrumentation`` as the last of its services."""
         raise NotImplementedError
 
     def validate(self, runtime: Any, report: Any) -> list[str]:
@@ -202,27 +203,25 @@ class _RuntimeScenario(Scenario):
         problems: dict[str, list[str]] = {}
         result_hash: str | None = None
         exercised = 0
-        runtime = self.build()
-        if self._traces is None:
-            # The seeded source trace is a pure function of catalog,
-            # config, and drift — record it once and share it across
-            # every schedule of this scenario (feeds read it read-only).
-            self._traces = runtime._record_trace(self.span)  # repro: allow[INV001]
-        runtime.loop_factory = controller.loop_factory
-        orig_start = runtime._start_extras  # repro: allow[INV001]
+        runtime = self.build(Instrumentation(monitor))
 
-        async def start_extras(flow: Any) -> list[asyncio.Task[Any]]:
-            asyncio.get_running_loop().set_task_factory(monitor.task_factory)
-            extras = await orig_start(flow)
-            install_runtime_instrumentation(monitor, runtime, flow)
-            return extras
+        def loop_factory() -> asyncio.AbstractEventLoop:
+            # every task of the run, the services' included, is created
+            # under the monitor's factory
+            loop = controller.loop_factory()
+            loop.set_task_factory(monitor.task_factory)
+            return loop
 
-        runtime._start_extras = start_extras  # repro: allow[INV001]
-        runtime._ran = True  # repro: allow[INV001] mirrors LiveRuntime.run
         try:
-            report = runtime.report = runtime._drive(  # repro: allow[INV001]
-                runtime._execute(self._traces, self.span)  # repro: allow[INV001]
-            )
+            # The seeded source trace is a pure function of catalog,
+            # config, and drift — the first runtime records it and every
+            # later schedule of this scenario replays the same one
+            # (feeds read it read-only).
+            flow = runtime.prepare(self.span, traces=self._traces)
+            if self._traces is None:
+                self._traces = {feed.stream_id: feed.trace for feed in flow.feeds}
+            with asyncio.Runner(loop_factory=loop_factory) as runner:
+                report = runner.run(runtime.execute())
         except Exception as exc:  # noqa: BLE001 - any crash is a finding
             problems["crash"] = [f"{type(exc).__name__}: {exc}"]
             return self._finish(
@@ -261,21 +260,21 @@ class MigrationScenario(_RuntimeScenario):
     parity = True
     span = 0.9
 
-    def build(self) -> Any:
-        from repro.live import LiveSettings
-        from repro.live.adaptation import AdaptationSettings, AdaptiveRuntime
+    def build(self, instrumentation: Instrumentation) -> Any:
+        from repro.live import Adaptation, AdaptationSettings, LiveRuntime, LiveSettings
         from repro.workloads import apply_rate_drift, crossfade_rates, parity_workload
 
         catalog, config, queries = parity_workload(11, rate=80.0)
-        runtime = AdaptiveRuntime(
+        adaptation = AdaptationSettings(
+            period=0.2, imbalance_threshold=1.02, max_imbalance=1.01
+        )
+        runtime = LiveRuntime(
             catalog,
             config,
             LiveSettings(
                 duration=self.span, batch_size=4, send_timeout=2.0, max_retries=6
             ),
-            AdaptationSettings(
-                period=0.2, imbalance_threshold=1.02, max_imbalance=1.01
-            ),
+            services=[Adaptation(adaptation), instrumentation],
         )
         runtime.submit(queries)
         hot = {s for s in catalog.stream_ids() if s.startswith("exchange-0")}
@@ -289,7 +288,7 @@ class MigrationScenario(_RuntimeScenario):
 
     def exercised(self, runtime: Any, report: Any) -> int:
         """Count completed query migrations."""
-        return int(runtime.adaptation_metrics.queries_migrated)
+        return int(report.adaptation.queries_migrated)
 
 
 class RebalanceScenario(_RuntimeScenario):
@@ -303,24 +302,24 @@ class RebalanceScenario(_RuntimeScenario):
     parity = True
     span = 1.0
 
-    def build(self) -> Any:
-        from repro.live import LiveSettings
-        from repro.live.adaptation import AdaptationSettings, AdaptiveRuntime
+    def build(self, instrumentation: Instrumentation) -> Any:
+        from repro.live import Adaptation, AdaptationSettings, LiveRuntime, LiveSettings
         from repro.workloads import partition_workload
 
         catalog, config, queries = partition_workload(3)
-        runtime = AdaptiveRuntime(
+        adaptation = AdaptationSettings(period=0.4, partition_skew_threshold=1.2)
+        runtime = LiveRuntime(
             catalog,
             config,
             LiveSettings(duration=self.span, batch_size=4),
-            AdaptationSettings(period=0.4, partition_skew_threshold=1.2),
+            services=[Adaptation(adaptation), instrumentation],
         )
         runtime.submit(queries)
         return runtime
 
     def exercised(self, runtime: Any, report: Any) -> int:
         """Count completed partition rebalances."""
-        return int(runtime.adaptation_metrics.partition_rebalances)
+        return int(report.adaptation.partition_rebalances)
 
 
 class AdmissionScenario(_RuntimeScenario):
@@ -337,9 +336,9 @@ class AdmissionScenario(_RuntimeScenario):
     parity = False
     span = 1.5
 
-    def build(self) -> Any:
-        from repro.control import ControlRuntime
-        from repro.live import LiveSettings
+    def build(self, instrumentation: Instrumentation) -> Any:
+        from repro.control import Control
+        from repro.live import Adaptation, LiveRuntime, LiveSettings
         from repro.workloads import churn_workload
 
         catalog, config, queries, events = churn_workload(
@@ -348,8 +347,11 @@ class AdmissionScenario(_RuntimeScenario):
             churn_per_minute=240.0,
             quota_rate=200.0,
         )
-        runtime = ControlRuntime(
-            catalog, config, LiveSettings(duration=self.span), events=events
+        runtime = LiveRuntime(
+            catalog,
+            config,
+            LiveSettings(duration=self.span),
+            services=[Adaptation(), Control(events=events), instrumentation],
         )
         runtime.submit(queries)
         return runtime

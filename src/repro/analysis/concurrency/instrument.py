@@ -1,8 +1,9 @@
 """Wire an :class:`HBMonitor` into a live runtime.
 
-Everything here is per-instance monkey wrapping, installed from the
-explorer's ``_start_extras`` hook — production runtimes never pay for
-it.  Three kinds of hooks:
+Everything here is per-instance monkey wrapping, installed by the
+:class:`Instrumentation` service the explorer lists last on its
+scenario runtimes — production runtimes never pay for it.  Three kinds
+of hooks:
 
 * **synchronization edges** — the runtime's real ordering devices
   (``LiveChannel`` put/get, ``WorkTracker`` done/wait_quiescent,
@@ -27,6 +28,7 @@ noise.
 
 from __future__ import annotations
 
+import asyncio
 import functools
 from collections.abc import Awaitable, Callable
 from typing import Any
@@ -34,11 +36,16 @@ from typing import Any
 from repro.analysis.concurrency.hb import HBMonitor, TrackedState
 from repro.distributed.links import CreditGate
 from repro.live.channels import LiveChannel
+from repro.live.adaptation import Adaptation
 from repro.live.entity_task import FeedGate
-from repro.live.runtime import LiveDataflow, LiveRuntime
+from repro.live.runtime import LiveDataflow, LiveRuntime, RuntimeService
 from repro.live.transport import WorkTracker
 
-__all__ = ["install_runtime_instrumentation", "wrap_credit_gate"]
+__all__ = [
+    "Instrumentation",
+    "install_runtime_instrumentation",
+    "wrap_credit_gate",
+]
 
 #: State-name prefixes that may only be written under full quiescence.
 PROTECTED_PREFIXES: tuple[str, ...] = (
@@ -148,9 +155,9 @@ def _wrap_serialized(obj: Any, name: str, monitor: HBMonitor, token: object) -> 
 def install_runtime_instrumentation(monitor: HBMonitor, runtime: LiveRuntime, flow: LiveDataflow) -> None:
     """Hook every shared-state access path of a built dataflow.
 
-    Must run after ``_start_extras`` created the adaptation controller
-    (so the migrator exists) and before the dataflow tasks start (so no
-    access goes unrecorded).
+    Must run after the runtime's :class:`~repro.live.adaptation.
+    Adaptation` service started (so the migrator exists) and before the
+    dataflow tasks start (so no access goes unrecorded).
     """
     monitor.protected.update(PROTECTED_PREFIXES)
     monitor.quiescent = lambda: flow.tracker.in_flight == 0
@@ -159,15 +166,14 @@ def install_runtime_instrumentation(monitor: HBMonitor, runtime: LiveRuntime, fl
     wrap_tracker(flow.tracker, monitor)
     for channel in flow.all_channels():
         wrap_channel(channel, monitor)
-    gate = getattr(runtime, "gate", None)
-    if gate is not None:
-        wrap_gate(gate, monitor)
+    adaptation = runtime.service(Adaptation)
+    if adaptation is not None:
+        wrap_gate(adaptation.gate, monitor)
 
     # -- serialized control-plane mutation sections -------------------
     token = object()
-    controller = getattr(runtime, "controller", None)
-    if controller is not None:
-        migrator = controller.migrator
+    if adaptation is not None:
+        migrator = adaptation.migrator
         for name in (
             "_transfer",
             "register_query",
@@ -207,6 +213,21 @@ def install_runtime_instrumentation(monitor: HBMonitor, runtime: LiveRuntime, fl
         proc.head_routes = table
         proc.fragments = TrackedState(proc.fragments, monitor, f"fragments/{proc_id}")
         proc.downstream = TrackedState(proc.downstream, monitor, f"downstream/{proc_id}")
+
+
+class Instrumentation(RuntimeService):
+    """The monitor's hooks as a runtime service; list it last, so its
+    ``start`` runs once every other service has built what it wraps."""
+
+    def __init__(self, monitor: HBMonitor) -> None:
+        self.monitor = monitor
+
+    def attach(self, runtime: LiveRuntime) -> None:
+        self.runtime = runtime
+
+    def start(self, flow: LiveDataflow) -> list[asyncio.Task[Any]]:
+        install_runtime_instrumentation(self.monitor, self.runtime, flow)
+        return []
 
 
 def _wrap_router(deployment: Any, monitor: HBMonitor, token: object) -> None:

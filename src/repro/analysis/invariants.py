@@ -643,23 +643,31 @@ def run_partition_smoke(
     spec, §4.1 processor spread).  Zero rebalances is itself a
     violation: a smoke that never exercises the trigger proves nothing.
     """
-    from repro.live import LiveSettings
-    from repro.live.adaptation import AdaptationSettings, AdaptiveRuntime
+    from repro.live import (
+        Adaptation,
+        AdaptationSettings,
+        LiveRuntime,
+        LiveSettings,
+    )
     from repro.workloads import partition_workload
 
     catalog, config, queries = partition_workload(seed)
-    runtime = AdaptiveRuntime(
+    runtime = LiveRuntime(
         catalog,
         config,
         LiveSettings(duration=duration, batch_size=4),
-        AdaptationSettings(period=0.4, partition_skew_threshold=1.2),
+        services=[
+            Adaptation(
+                AdaptationSettings(period=0.4, partition_skew_threshold=1.2)
+            )
+        ],
     )
     runtime.submit(queries)
-    runtime.run()
+    report = runtime.run()
     violations = audit_federation(
         runtime.planner, dataflow=runtime.dataflow
     )
-    if runtime.adaptation_metrics.partition_rebalances == 0:
+    if report.adaptation.partition_rebalances == 0:
         violations.append(
             InvariantViolation(
                 "partition-smoke",
@@ -689,8 +697,8 @@ def run_control_smoke(
     structural audit, and the run must deliver results for more than
     one tenant — a churn smoke that admits nothing proves nothing.
     """
-    from repro.control import ControlRuntime
-    from repro.live import LiveSettings
+    from repro.control import Control
+    from repro.live import Adaptation, LiveRuntime, LiveSettings
     from repro.workloads import churn_workload
 
     catalog, config, queries, events = churn_workload(
@@ -699,8 +707,11 @@ def run_control_smoke(
         churn_per_minute=240.0,
         quota_rate=200.0,
     )
-    runtime = ControlRuntime(
-        catalog, config, LiveSettings(duration=duration), events=events
+    runtime = LiveRuntime(
+        catalog,
+        config,
+        LiveSettings(duration=duration),
+        services=[Adaptation(), Control(events=events)],
     )
     runtime.submit(queries)
     report = runtime.run()

@@ -98,9 +98,16 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_live(args: argparse.Namespace) -> int:
+def _stock_runtime(args: argparse.Namespace, label: str, make):
+    """The planned stock-catalog runtime ``live``/``chaos``/``adapt`` share.
+
+    ``make()`` returns the command's ``(LiveSettings, services)``; a
+    ``ValueError`` out of it is reported as ``invalid <label> settings``
+    and ``None`` is returned (the caller exits 2).  Otherwise the
+    generated workload is submitted and the runtime is ready to run.
+    """
     from repro.core.system import SystemConfig
-    from repro.live import LiveRuntime, LiveSettings
+    from repro.live import LiveRuntime
     from repro.query.generator import WorkloadConfig, generate_workload
     from repro.streams.catalog import stock_catalog
 
@@ -111,16 +118,11 @@ def _cmd_live(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     try:
-        settings = LiveSettings(
-            duration=args.duration,
-            time_scale=args.time_scale,
-            batch_size=args.batch_size,
-            channel_capacity=args.capacity,
-        )
+        settings, services = make()
     except ValueError as exc:
-        print(f"invalid live settings: {exc}", file=sys.stderr)
-        return 2
-    runtime = LiveRuntime(catalog, config, settings)
+        print(f"invalid {label} settings: {exc}", file=sys.stderr)
+        return None
+    runtime = LiveRuntime(catalog, config, settings, services=services)
     workload = generate_workload(
         catalog,
         WorkloadConfig(
@@ -129,39 +131,52 @@ def _cmd_live(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     runtime.submit(workload.queries)
+    return runtime
+
+
+def _print_report(report, *, queues: bool = False) -> None:
+    for line in report.summary_lines():
+        print(f"  {line}")
+    if queues:
+        print("per-entity queues:")
+        for line in report.queue_lines():
+            print(f"  {line}")
+
+
+def _cmd_live(args: argparse.Namespace) -> int:
+    from repro.live import LiveSettings
+
+    def make():
+        return LiveSettings(
+            duration=args.duration,
+            time_scale=args.time_scale,
+            batch_size=args.batch_size,
+            channel_capacity=args.capacity,
+        ), []
+
+    runtime = _stock_runtime(args, "live", make)
+    if runtime is None:
+        return 2
     report = runtime.run()
     print(
         f"live federation: {args.entities} entities x {args.processors} "
         f"processors, {args.queries} queries, batch size {args.batch_size}"
     )
-    for line in report.summary_lines():
-        print(f"  {line}")
-    print("per-entity queues:")
-    for line in report.queue_lines():
-        print(f"  {line}")
+    _print_report(report, queues=True)
     return 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.core.system import SystemConfig
     from repro.live import (
-        ChaosRuntime,
+        Chaos,
         ChaosSettings,
         LiveSettings,
         format_script,
         parse_script,
         random_script,
     )
-    from repro.query.generator import WorkloadConfig, generate_workload
-    from repro.streams.catalog import stock_catalog
 
-    catalog = stock_catalog(exchanges=2, rate=args.rate)
-    config = SystemConfig(
-        entity_count=args.entities,
-        processors_per_entity=args.processors,
-        seed=args.seed,
-    )
-    try:
+    def make():
         settings = LiveSettings(
             duration=args.duration,
             batch_size=args.batch_size,
@@ -172,10 +187,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             recovery=not args.no_recovery,
             replay_buffer=args.replay_buffer,
         )
-    except ValueError as exc:
-        print(f"invalid chaos settings: {exc}", file=sys.stderr)
+        return settings, [Chaos(settings=chaos)]
+
+    runtime = _stock_runtime(args, "chaos", make)
+    if runtime is None:
         return 2
-    runtime = ChaosRuntime(catalog, config, settings, chaos=chaos)
+    chaos = runtime.service(Chaos)
     if args.script is not None:
         try:
             with open(args.script, encoding="utf-8") as handle:
@@ -193,49 +210,29 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         script = random_script(
             args.seed, entities, processors, args.duration, count=args.faults
         )
-    runtime.script = sorted(script)
-    workload = generate_workload(
-        catalog,
-        WorkloadConfig(
-            query_count=args.queries, join_fraction=0.0, aggregate_fraction=0.2
-        ),
-        seed=args.seed,
-    )
-    runtime.submit(workload.queries)
+    chaos.script = sorted(script)
     report = runtime.run()
     print(
         f"chaos run: {args.entities} entities x {args.processors} "
         f"processors, {args.queries} queries, "
-        f"{len(runtime.script)} scripted faults, "
+        f"{len(chaos.script)} scripted faults, "
         f"recovery {'off' if args.no_recovery else 'on'}"
     )
     print("fault script:")
-    for line in format_script(runtime.script).splitlines():
+    for line in format_script(chaos.script).splitlines():
         print(f"  {line}")
-    for line in report.summary_lines():
-        print(f"  {line}")
-    return 0
+    _print_report(report)
+    # Without recovery, dangling structure around the dead is the
+    # expected baseline; with it, a dirty audit is a recovery bug.
+    dirty = not args.no_recovery and report.recovery.audit_violations
+    return 1 if dirty else 0
 
 
 def _cmd_adapt(args: argparse.Namespace) -> int:
-    from repro.core.system import SystemConfig
-    from repro.live import (
-        AdaptationSettings,
-        AdaptiveRuntime,
-        LiveRuntime,
-        LiveSettings,
-    )
-    from repro.query.generator import WorkloadConfig, generate_workload
-    from repro.streams.catalog import stock_catalog
+    from repro.live import Adaptation, AdaptationSettings, LiveSettings
     from repro.workloads import apply_rate_drift, crossfade_rates
 
-    catalog = stock_catalog(exchanges=2, rate=args.rate)
-    config = SystemConfig(
-        entity_count=args.entities,
-        processors_per_entity=args.processors,
-        seed=args.seed,
-    )
-    try:
+    def make():
         settings = LiveSettings(
             duration=args.duration,
             batch_size=args.batch_size,
@@ -248,30 +245,20 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
             strategy=args.strategy,
             imbalance_threshold=args.threshold,
         )
-    except ValueError as exc:
-        print(f"invalid adaptation settings: {exc}", file=sys.stderr)
+        return settings, [] if args.static else [Adaptation(adaptation)]
+
+    runtime = _stock_runtime(args, "adaptation", make)
+    if runtime is None:
         return 2
-    if args.static:
-        runtime = LiveRuntime(catalog, config, settings)
-    else:
-        runtime = AdaptiveRuntime(catalog, config, settings, adaptation)
-    workload = generate_workload(
-        catalog,
-        WorkloadConfig(
-            query_count=args.queries, join_fraction=0.0, aggregate_fraction=0.2
-        ),
-        seed=args.seed,
-    )
-    runtime.submit(workload.queries)
     hot = {
         stream_id
-        for stream_id in catalog.stream_ids()
+        for stream_id in runtime.catalog.stream_ids()
         if stream_id.startswith("exchange-0")
     }
     apply_rate_drift(
         runtime.planner.sources,
         crossfade_rates(
-            catalog,
+            runtime.catalog,
             hot,
             factor_up=args.drift_up,
             factor_down=args.drift_down,
@@ -285,17 +272,14 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
         f"{args.processors} processors, {args.queries} queries, "
         f"drifting rates x{args.drift_up}/x{args.drift_down}"
     )
-    for line in report.summary_lines():
-        print(f"  {line}")
-    print("per-entity queues:")
-    for line in report.queue_lines():
-        print(f"  {line}")
-    return 0
+    _print_report(report, queues=True)
+    dirty = report.adaptation is not None and report.adaptation.audit_violations
+    return 1 if dirty else 0
 
 
 def _cmd_control(args: argparse.Namespace) -> int:
-    from repro.control import ControlRuntime, ControlSettings
-    from repro.live import LiveSettings
+    from repro.control import Control, ControlSettings
+    from repro.live import Adaptation, LiveRuntime, LiveSettings
     from repro.workloads import churn_workload
 
     if args.smoke:
@@ -328,8 +312,11 @@ def _cmd_control(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"invalid control settings: {exc}", file=sys.stderr)
         return 2
-    runtime = ControlRuntime(
-        catalog, config, settings, control=control, events=events
+    runtime = LiveRuntime(
+        catalog,
+        config,
+        settings,
+        services=[Adaptation(), Control(control, events=events)],
     )
     runtime.submit(queries)
     report = runtime.run()
@@ -340,8 +327,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
         f"scripted over {args.duration:g}s "
         f"({args.churn:g} lifecycle events per virtual minute)"
     )
-    for line in report.summary_lines():
-        print(f"  {line}")
+    _print_report(report)
     return 0
 
 

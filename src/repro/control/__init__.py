@@ -1,4 +1,4 @@
-"""Multi-tenant control plane over the adaptive live runtime.
+"""Multi-tenant control plane over the live runtime.
 
 The paper's federation is long-running: queries arrive and leave while
 the system executes (§3.2.2 "arrival or leave of queries"), and the
@@ -12,11 +12,12 @@ operational layer that makes that sustainable:
 * :mod:`repro.control.quotas` — per-tenant weighted-fair token buckets
   enforced at the delegate-routing intake, so one tenant's traffic
   spike cannot starve colocated tenants.
-* :mod:`repro.control.runtime` — :class:`ControlRuntime`, the live
-  runtime that executes a scripted churn of registrations and
-  teardowns through the coordinator tree, reusing the migration
-  protocol (pause → drain → install/detach → resume) so arrivals and
-  departures never corrupt colocated queries.
+* :mod:`repro.control.runtime` — :class:`Control`, the live-runtime
+  service that executes a scripted churn of registrations and
+  teardowns through the coordinator tree, reusing the
+  :class:`~repro.live.Adaptation` service's migration protocol (pause →
+  drain → install/detach → resume) so arrivals and departures never
+  corrupt colocated queries.
 * :mod:`repro.control.simulate` — the same admission policy driving
   the discrete-event simulator's online submission path.
 """
@@ -24,18 +25,13 @@ operational layer that makes that sustainable:
 from repro.control.admission import AdmissionPolicy, predicted_imbalance
 from repro.control.events import ControlEvent
 from repro.control.quotas import TenantThrottle, throttle_from_config
-from repro.control.runtime import (
-    ControlChaosRuntime,
-    ControlRuntime,
-    ControlSettings,
-)
+from repro.control.runtime import Control, ControlSettings
 from repro.control.simulate import run_control_sim
 
 __all__ = [
     "AdmissionPolicy",
-    "ControlChaosRuntime",
+    "Control",
     "ControlEvent",
-    "ControlRuntime",
     "ControlSettings",
     "TenantThrottle",
     "predicted_imbalance",

@@ -1,8 +1,9 @@
 """The live multi-tenant control plane.
 
-:class:`ControlRuntime` extends the adaptive runtime with a long-lived
-control task that walks a scripted churn of query registrations and
-teardowns (§3.2.2 "arrival or leave of queries") against the *running*
+:class:`Control` is the service that adds a long-lived control task to a
+:class:`~repro.live.runtime.LiveRuntime` running the adaptation loop;
+the task walks a scripted churn of query registrations and teardowns
+(§3.2.2 "arrival or leave of queries") against the *running*
 federation:
 
 * **arrivals** route through the coordinator tree
@@ -38,15 +39,10 @@ from repro.control.admission import (
 )
 from repro.control.events import REGISTER, ControlEvent
 from repro.control.quotas import throttle_from_config
-from repro.live.adaptation import (
-    AdaptationSettings,
-    AdaptiveRuntime,
-    QueryMigrator,
-)
-from repro.live.chaos import ChaosRuntime, ChaosSettings
+from repro.live.adaptation import Adaptation, QueryMigrator
 from repro.live.metrics import LiveReport
-from repro.live.runtime import LiveDataflow, LiveSettings
-from repro.monitoring.control import ControlMetrics
+from repro.live.runtime import LiveDataflow, LiveRuntime, RuntimeService
+from repro.monitoring.control import ControlReport
 from repro.query.spec import QuerySpec
 
 
@@ -72,20 +68,21 @@ class ControlPlane:
 
     def __init__(
         self,
-        runtime: "ControlRuntime",
+        runtime: LiveRuntime,
         flow: LiveDataflow,
         migrator: QueryMigrator,
+        admission: AdmissionPolicy,
         events: list[ControlEvent],
         settings: ControlSettings,
-        metrics: ControlMetrics,
+        metrics: ControlReport,
     ) -> None:
         self.runtime = runtime
         self.flow = flow
         self.migrator = migrator
+        self.admission = admission
         self.events = events
         self.settings = settings
         self.metrics = metrics
-        self.admission = runtime.admission
 
     # ------------------------------------------------------------------
     async def run(self) -> None:
@@ -116,7 +113,6 @@ class ControlPlane:
         for event in due:
             if event.action == REGISTER:
                 self.metrics.record_arrival()
-                self.runtime.note_tenant(event.spec)
                 verdict = self.admission.decide(
                     event.spec.estimated_load(catalog),
                     entity_loads(planner),
@@ -166,7 +162,7 @@ class ControlPlane:
     ) -> None:
         """One pause → drain → apply → resume batch."""
         planner = self.runtime.planner
-        gate = self.runtime.gate
+        gate = self.migrator.gate
         touched: set[str] = set()
         gate.close()
         try:
@@ -209,113 +205,79 @@ class ControlPlane:
         self.metrics.record_window()
 
 
-class ControlRuntime(AdaptiveRuntime):
-    """An :class:`AdaptiveRuntime` with the multi-tenant control plane.
+class Control(RuntimeService):
+    """The multi-tenant control plane, beside a running live runtime.
 
     Admission and quota knobs come from :class:`~repro.core.system.
     SystemConfig` (so all three execution legs read one configuration);
-    the churn script is per-run data.
+    the churn script is per-run data.  Requires an
+    :class:`~repro.live.adaptation.Adaptation` service listed before it:
+    lifecycle changes are applied behind that service's feed gate,
+    through its migrator.
     """
 
     def __init__(
         self,
-        catalog,
-        config,
-        settings: LiveSettings | None = None,
-        adaptation: AdaptationSettings | None = None,
-        control: ControlSettings | None = None,
+        settings: ControlSettings | None = None,
         *,
         events: list[ControlEvent] | tuple[ControlEvent, ...] = (),
     ) -> None:
-        super().__init__(catalog, config, settings, adaptation)
-        self.control_settings = control or ControlSettings()
+        self.settings = settings or ControlSettings()
         self.events = sorted(events, key=lambda e: (e.at, e.subject))
-        self.control_metrics = ControlMetrics()
-        self.throttle = throttle_from_config(config)
+        self.report = ControlReport()
+        self.plane: ControlPlane | None = None
+
+    # ------------------------------------------------------------------
+    def attach(self, runtime: LiveRuntime) -> None:
+        adaptation = runtime.service(Adaptation)
+        services = runtime.services
+        if adaptation is None or services.index(adaptation) > services.index(self):
+            raise ValueError(
+                "the Control service needs an Adaptation service listed "
+                "before it (it applies lifecycle changes through that "
+                "service's feed gate and migrator)"
+            )
+        self.runtime = runtime
+        self.adaptation = adaptation
+        config = runtime.config
+        runtime.throttle = throttle_from_config(config)
         self.admission = AdmissionPolicy(
             queue_limit=config.admission_queue_limit,
             imbalance_threshold=config.admission_imbalance_threshold,
         )
-        self.plane: ControlPlane | None = None
-        self._tenant_of: dict[str, str] = {}
-        for event in self.events:
-            if event.spec is not None:
-                self.note_tenant(event.spec)
 
-    # ------------------------------------------------------------------
-    def note_tenant(self, spec: QuerySpec) -> None:
-        """Remember a query's owner for per-tenant delivery accounting."""
-        self._tenant_of[spec.query_id] = spec.tenant
-
-    def submit(self, queries: list[QuerySpec]) -> None:
-        super().submit(queries)
-        for query in queries:
-            self.note_tenant(query)
-
-    # ------------------------------------------------------------------
-    async def _start_extras(self, flow: LiveDataflow) -> list[asyncio.Task]:
-        extras = await super()._start_extras(flow)
+    def start(self, flow: LiveDataflow) -> list[asyncio.Task]:
+        # Owners for per-tenant delivery accounting: every scripted
+        # arrival plus everything submitted before the run (a query torn
+        # down mid-run leaves the planner but keeps its results).
+        self._tenant_of = {
+            spec.query_id: spec.tenant
+            for spec in (
+                *(e.spec for e in self.events if e.spec is not None),
+                *self.runtime.planner.queries,
+            )
+        }
         self.plane = ControlPlane(
-            self,
+            self.runtime,
             flow,
-            self.controller.migrator,
+            self.adaptation.migrator,
+            self.admission,
             self.events,
-            self.control_settings,
-            self.control_metrics,
+            self.settings,
+            self.report,
         )
-        extras.append(
-            asyncio.create_task(self.plane.run(), name="live:control")
-        )
-        return extras
+        return [asyncio.create_task(self.plane.run(), name="live:control")]
 
-    def _finish_report(
-        self, report: LiveReport, flow: LiveDataflow
-    ) -> LiveReport:
-        report = super()._finish_report(report, flow)
+    def finish(self, report: LiveReport, flow: LiveDataflow) -> LiveReport:
+        runtime = self.runtime
         delivered: dict[str, int] = {}
-        for query_id, tuples in self.metrics.results_by_query.items():
+        for query_id, tuples in runtime.metrics.results_by_query.items():
             tenant = self._tenant_of.get(query_id)
             if tenant is not None:
                 delivered[tenant] = delivered.get(tenant, 0) + len(tuples)
-        control = self.control_metrics.build_report(
-            shed_by_tenant=(
-                dict(self.throttle.shed_by_tenant)
-                if self.throttle is not None
-                else {}
-            ),
-            delivered_by_tenant=delivered,
-            stranded_in_queue=len(self.admission.queue),
-        )
+        control = self.report
+        if runtime.throttle is not None:
+            control.shed_by_tenant = dict(runtime.throttle.shed_by_tenant)
+        control.delivered_by_tenant = delivered
+        control.stranded_in_queue = len(self.admission.queue)
         return replace(report, control=control)
-
-
-class ControlChaosRuntime(ControlRuntime, ChaosRuntime):
-    """The control plane under the chaos harness's virtual clock.
-
-    Cooperative MRO: control plane → adaptation loop → chaos/recovery →
-    base dataflow.  The chaos fault script arrives via ``script`` (the
-    churn script stays in ``events``); both run on the same virtual
-    timeline, which is what lets the churn chaos test interleave
-    registrations, teardowns, and crashes deterministically.
-    """
-
-    def __init__(
-        self,
-        catalog,
-        config,
-        settings: LiveSettings | None = None,
-        adaptation: AdaptationSettings | None = None,
-        control: ControlSettings | None = None,
-        *,
-        events: list[ControlEvent] | tuple[ControlEvent, ...] = (),
-        script=None,
-        chaos: ChaosSettings | None = None,
-    ) -> None:
-        super().__init__(
-            catalog, config, settings, adaptation, control, events=events
-        )
-        # ChaosRuntime.__init__ ran mid-chain with defaults; install the
-        # caller's fault script and settings over them.
-        self.script = sorted(script or [])
-        if chaos is not None:
-            self.chaos_settings = chaos

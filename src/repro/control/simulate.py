@@ -21,7 +21,7 @@ from repro.control.admission import (
 from repro.control.events import REGISTER, ControlEvent
 from repro.core.report import RunReport
 from repro.core.system import FederatedSystem, SystemConfig
-from repro.monitoring.control import ControlMetrics, ControlReport
+from repro.monitoring.control import ControlReport
 from repro.query.spec import QuerySpec
 from repro.streams.catalog import StreamCatalog
 
@@ -44,11 +44,11 @@ def run_control_sim(
         queue_limit=config.admission_queue_limit,
         imbalance_threshold=config.admission_imbalance_threshold,
     )
-    metrics = ControlMetrics()
+    control = ControlReport()
 
     def admit(spec: QuerySpec, arrived_at: float) -> None:
         system.submit_one(spec)
-        metrics.record_admitted(system.sim.now - arrived_at)
+        control.record_admitted(system.sim.now - arrived_at)
 
     def retry() -> None:
         if policy.queue:
@@ -60,7 +60,7 @@ def run_control_sim(
 
     def handle(event: ControlEvent) -> None:
         if event.action == REGISTER:
-            metrics.record_arrival()
+            control.record_arrival()
             verdict = policy.decide(
                 event.spec.estimated_load(catalog), entity_loads(system)
             )
@@ -69,27 +69,27 @@ def run_control_sim(
             elif verdict == DEFER:
                 was_empty = not policy.queue
                 policy.park(event.spec, event.at)
-                metrics.record_deferred(len(policy.queue))
+                control.record_deferred(len(policy.queue))
                 if was_empty:
                     system.sim.schedule(retry_period, retry)
             else:
-                metrics.record_rejected()
+                control.record_rejected()
         else:
-            metrics.record_departure()
+            control.record_departure()
             for pending in list(policy.queue):
                 if pending.spec.query_id == event.query_id:
                     policy.queue.remove(pending)
-                    metrics.record_torn_down()
+                    control.record_torn_down()
                     return
             try:
                 system.withdraw(event.query_id)
             except KeyError:
                 return  # rejected earlier or never existed
-            metrics.record_torn_down()
+            control.record_torn_down()
             retry()  # the departure freed capacity
 
     for event in sorted(events, key=lambda e: (e.at, e.subject)):
         system.sim.schedule_at(event.at, lambda e=event: handle(e))
     report = system.run(duration)
-    control = metrics.build_report(stranded_in_queue=len(policy.queue))
+    control.stranded_in_queue = len(policy.queue)
     return report, control

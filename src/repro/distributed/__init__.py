@@ -43,7 +43,6 @@ from repro.distributed.placement import (
     place_feeds,
 )
 from repro.distributed.worker import (
-    DistributedRuntime,
     DistributedStrategy,
     DistributedWorker,
     serve,
@@ -53,7 +52,6 @@ __all__ = [
     "Admission",
     "CreditGate",
     "DistributedCoordinator",
-    "DistributedRuntime",
     "DistributedStrategy",
     "DistributedWorker",
     "FrameDecoder",

@@ -24,7 +24,6 @@ import asyncio
 import os
 from dataclasses import asdict
 
-from repro.core.system import SystemConfig
 from repro.distributed import codec
 from repro.distributed.links import (
     Admission,
@@ -42,14 +41,8 @@ from repro.distributed.specs import (
 )
 from repro.live.channels import ChannelClosed, LiveChannel
 from repro.live.entity_task import ResultCollector
-from repro.live.runtime import (
-    LiveDataflow,
-    LiveRuntime,
-    LiveSettings,
-    TransportStrategy,
-)
+from repro.live.runtime import LiveDataflow, LiveRuntime, TransportStrategy
 from repro.live.transport import WorkTracker
-from repro.streams.catalog import StreamCatalog
 
 
 class RelayCollector(ResultCollector):
@@ -135,47 +128,7 @@ class DistributedStrategy(TransportStrategy):
             self.worker.coord,
         )
 
-
-class DistributedRuntime(LiveRuntime):
-    """LiveRuntime slice driven by a worker's coordinator protocol."""
-
-    def __init__(
-        self,
-        catalog: StreamCatalog,
-        config: SystemConfig,
-        settings: LiveSettings,
-        *,
-        worker: "DistributedWorker",
-    ) -> None:
-        super().__init__(
-            catalog, config, settings, strategy=DistributedStrategy(worker)
-        )
-        self.worker = worker
-        self._duration = settings.duration
-
-    def prepare(self, duration: float) -> LiveDataflow:
-        """Plan-to-dataflow without running it (trace + channel graph).
-
-        Split from execution so the worker can build its inboxes —
-        which peer admission tasks need — before reporting READY, while
-        feeds only start replaying on the coordinator's START.
-        """
-        if self._ran:
-            raise RuntimeError("a DistributedRuntime instance is single-use")
-        if self.planner.allocation_result is None:
-            raise RuntimeError("submit() a workload before prepare()")
-        self._ran = True
-        self._duration = duration
-        traces = self._record_trace(duration)
-        self.dataflow = self._build_dataflow(traces)
-        return self.dataflow
-
-    async def execute(self) -> "object":
-        """Run the prepared dataflow to federation-wide completion."""
-        self.report = await self._run_flow(self.dataflow, self._duration)
-        return self.report
-
-    async def _await_quiescence(self, flow: LiveDataflow) -> None:
+    async def wait_drained(self, flow: LiveDataflow) -> None:
         # Local feeds are done once we get here; global quiescence is
         # the coordinator's call — the local tracker cannot see batches
         # still crossing sockets between other workers.
@@ -201,7 +154,7 @@ class DistributedWorker:
         self.counters = LinkCounters()
         self.entity_workers: dict[str, int] = {}
         self.feed_workers: dict[str, int] = {}
-        self.runtime: DistributedRuntime | None = None
+        self.runtime: LiveRuntime | None = None
         self.feeds_done = False
         self.delta_frames: list[dict] = []
         self.start_event = asyncio.Event()
@@ -354,8 +307,8 @@ class DistributedWorker:
         config = config_from_spec(spec["config"])
         settings = settings_from_spec(spec["settings"])
         queries = [query_from_spec(q) for q in spec["queries"]]
-        self.runtime = DistributedRuntime(
-            catalog, config, settings, worker=self
+        self.runtime = LiveRuntime(
+            catalog, config, settings, strategy=DistributedStrategy(self)
         )
         self.runtime.submit(queries)
         apply_deltas(self.runtime.planner, deltas)

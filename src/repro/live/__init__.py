@@ -8,22 +8,26 @@ by bounded channels with batching, backpressure, and retrying sends.
 
 Entry point: :class:`LiveRuntime` — same catalog/config/workload inputs
 as :class:`~repro.core.system.FederatedSystem`, live output through
-:class:`LiveReport`.
+:class:`LiveReport`.  It is the only runtime class; what runs beside the
+engine is a list of services (:class:`RuntimeService`): the
+:class:`Adaptation` loop, the :class:`Chaos` fault/recovery harness,
+and :class:`~repro.control.Control` for the multi-tenant control plane
+(DESIGN.md, "Runtime composition").
 """
 
 from repro.live.adaptation import (
+    Adaptation,
     AdaptationController,
     AdaptationSettings,
-    AdaptiveRuntime,
     LoadSampler,
     QueryMigrator,
 )
 from repro.live.channels import Batcher, ChannelClosed, LiveChannel
 from repro.live.chaos import (
+    Chaos,
     ChaosController,
     ChaosEvent,
     ChaosPolicy,
-    ChaosRuntime,
     ChaosSettings,
     VirtualClockLoop,
     format_script,
@@ -46,23 +50,24 @@ from repro.live.runtime import (
     LiveDataflow,
     LiveRuntime,
     LiveSettings,
+    RuntimeService,
     TransportStrategy,
 )
 from repro.live.transport import LiveTransport, TransportChaos, WorkTracker
 
 __all__ = [
+    "Adaptation",
     "AdaptationController",
     "AdaptationSettings",
-    "AdaptiveRuntime",
     "Batcher",
     "FeedGate",
     "LoadSampler",
     "QueryMigrator",
     "ChannelClosed",
+    "Chaos",
     "ChaosController",
     "ChaosEvent",
     "ChaosPolicy",
-    "ChaosRuntime",
     "ChaosSettings",
     "HeartbeatMonitor",
     "LiveChannel",
@@ -78,6 +83,7 @@ __all__ = [
     "LiveTransport",
     "RecoveryManager",
     "ResultCollector",
+    "RuntimeService",
     "TaskControl",
     "TransportChaos",
     "TransportStats",

@@ -56,16 +56,13 @@ from repro.engine.sharing import (
 )
 from repro.live.entity_task import FeedGate
 from repro.live.metrics import LiveMetrics, LiveReport
-from repro.live.runtime import LiveDataflow, LiveRuntime, LiveSettings
-from repro.monitoring.adaptation import (
-    AdaptationMetrics,
-    AdaptationRound,
-)
+from repro.live.runtime import LiveDataflow, LiveRuntime, RuntimeService
+from repro.monitoring.adaptation import AdaptationReport, AdaptationRound
 
 
 @dataclass(frozen=True)
 class AdaptationSettings:
-    """Control-loop knobs of the adaptive live runtime.
+    """Control-loop knobs of the :class:`Adaptation` service.
 
     Attributes:
         period: Virtual seconds between control rounds.
@@ -146,7 +143,7 @@ class QueryMigrator:
         runtime: LiveRuntime,
         flow: LiveDataflow,
         gate: FeedGate,
-        metrics: AdaptationMetrics,
+        metrics: AdaptationReport,
     ) -> None:
         self.runtime = runtime
         self.flow = flow
@@ -649,7 +646,7 @@ class AdaptationController:
         flow: LiveDataflow,
         gate: FeedGate,
         settings: AdaptationSettings,
-        metrics: AdaptationMetrics,
+        metrics: AdaptationReport,
     ) -> None:
         self.runtime = runtime
         self.flow = flow
@@ -797,54 +794,41 @@ class AdaptationController:
         )
 
 
-class AdaptiveRuntime(LiveRuntime):
-    """A :class:`LiveRuntime` with the adaptation loop switched on.
+class Adaptation(RuntimeService):
+    """The §3.2.2 adaptation loop, beside a running :class:`LiveRuntime`.
 
-    Identical planning and dataflow; additionally spawns an
+    Gates every source feed behind one :class:`FeedGate`, spawns an
     :class:`AdaptationController` alongside the dataflow and attaches
     its :class:`~repro.monitoring.adaptation.AdaptationReport` to the
-    run's :class:`~repro.live.metrics.LiveReport`.
+    run's :class:`~repro.live.metrics.LiveReport`.  ``gate`` and (once
+    started) ``migrator`` are what the control plane borrows.
     """
 
-    def __init__(
-        self,
-        catalog,
-        config,
-        settings: LiveSettings | None = None,
-        adaptation: AdaptationSettings | None = None,
-    ) -> None:
-        super().__init__(catalog, config, settings)
-        self.adaptation = adaptation or AdaptationSettings()
+    def __init__(self, settings: AdaptationSettings | None = None) -> None:
+        self.settings = settings or AdaptationSettings()
         self.gate = FeedGate()
-        self.adaptation_metrics = AdaptationMetrics(
-            self.adaptation.strategy
-        )
+        self.report = AdaptationReport(self.settings.strategy)
         self.controller: AdaptationController | None = None
 
-    def _build_dataflow(self, traces) -> LiveDataflow:
-        flow = super()._build_dataflow(traces)
+    @property
+    def migrator(self) -> QueryMigrator:
+        """The running loop's migrator (exists once the run started)."""
+        return self.controller.migrator
+
+    def attach(self, runtime: LiveRuntime) -> None:
+        self.runtime = runtime
+
+    def start(self, flow: LiveDataflow) -> list[asyncio.Task]:
         for feed in flow.feeds:
             feed.gate = self.gate
-        return flow
-
-    async def _start_extras(
-        self, flow: LiveDataflow
-    ) -> list[asyncio.Task]:
-        extras = await super()._start_extras(flow)
         self.controller = AdaptationController(
-            self, flow, self.gate, self.adaptation, self.adaptation_metrics
+            self.runtime, flow, self.gate, self.settings, self.report
         )
-        extras.append(
+        return [
             asyncio.create_task(
                 self.controller.run(), name="live:adaptation"
             )
-        )
-        return extras
+        ]
 
-    def _finish_report(
-        self, report: LiveReport, flow: LiveDataflow
-    ) -> LiveReport:
-        report = super()._finish_report(report, flow)
-        return replace(
-            report, adaptation=self.adaptation_metrics.build_report()
-        )
+    def finish(self, report: LiveReport, flow: LiveDataflow) -> LiveReport:
+        return replace(report, adaptation=self.report)

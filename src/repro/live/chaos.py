@@ -18,9 +18,9 @@ mechanisms make that hold:
   only randomness allowed is the seeded generator inside
   :func:`random_script`.
 
-:class:`ChaosRuntime` glues it together: a
-:class:`~repro.live.runtime.LiveRuntime` driven on the virtual loop,
-with the controller injecting faults, a
+:class:`Chaos` glues it together as a service of a
+:class:`~repro.live.runtime.LiveRuntime`: it puts the run on the virtual
+loop, with the controller injecting faults, a
 :class:`~repro.live.recovery.HeartbeatMonitor` detecting them, and a
 :class:`~repro.live.recovery.RecoveryManager` repairing them; the run
 report carries a :class:`~repro.monitoring.recovery.RecoveryReport`.
@@ -50,14 +50,12 @@ import random
 from dataclasses import dataclass
 
 from repro.analysis.invariants import audit_federation
-from repro.core.system import SystemConfig
 from repro.live.entity_task import TaskControl
+from repro.live.metrics import LiveReport
 from repro.live.recovery import HeartbeatMonitor, RecoveryManager
-from repro.live.runtime import LiveDataflow, LiveRuntime, LiveSettings
+from repro.live.runtime import LiveDataflow, LiveRuntime, RuntimeService
 from repro.live.transport import TransportChaos
-from repro.monitoring.recovery import RecoveryMetrics
-from repro.query.spec import QuerySpec  # noqa: F401  (re-exported context)
-from repro.streams.catalog import StreamCatalog
+from repro.monitoring.recovery import RecoveryReport
 
 KINDS = ("entity_crash", "proc_crash", "partition", "latency", "stall")
 
@@ -300,7 +298,7 @@ class ChaosController:
         self,
         flow: LiveDataflow,
         policy: ChaosPolicy,
-        metrics: RecoveryMetrics,
+        metrics: RecoveryReport,
         script: list[ChaosEvent],
     ) -> None:
         self.flow = flow
@@ -388,7 +386,7 @@ class ChaosController:
 
 
 # ----------------------------------------------------------------------
-# The runtime
+# The service
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ChaosSettings:
@@ -419,46 +417,46 @@ class ChaosSettings:
             raise ValueError("replay_buffer must be >= 0")
 
 
-class ChaosRuntime(LiveRuntime):
-    """A live runtime driven on the virtual clock under a fault script.
+class Chaos(RuntimeService):
+    """Scripted faults, detection and recovery beside a live run.
 
-    Same planning and dataflow as :class:`LiveRuntime`; adds the chaos
-    controller, heartbeat monitor, and recovery manager as auxiliary
-    tasks and attaches a recovery report to the run report.  Forces
+    Puts the run on the virtual clock and adds the chaos controller,
+    heartbeat monitor, and recovery manager as tasks beside the
+    dataflow; attaches a recovery report to the run report.  Forces
     ``time_scale=1.0``: with the virtual loop a "real-time" run costs
     no wall time, and a nonzero scale is required so that pacing,
     heartbeats, and fault timers share one timeline.
+
+    ``script`` may be replaced until the run starts (fault targets are
+    usually picked from the planned federation, which exists only once
+    the runtime does).
     """
 
     def __init__(
         self,
-        catalog: StreamCatalog,
-        config: SystemConfig,
-        settings: LiveSettings | None = None,
-        *,
         script: list[ChaosEvent] | None = None,
-        chaos: ChaosSettings | None = None,
+        settings: ChaosSettings | None = None,
     ) -> None:
-        base = settings or LiveSettings()
-        if base.time_scale != 1.0:
-            base = dataclasses.replace(base, time_scale=1.0)
-        super().__init__(catalog, config, base)
         self.script = sorted(script or [])
-        self.chaos_settings = chaos or ChaosSettings()
-        self.recovery_metrics = RecoveryMetrics()
+        self.settings = settings or ChaosSettings()
+        self.report = RecoveryReport()
         self.monitor: HeartbeatMonitor | None = None
         self.recovery_manager: RecoveryManager | None = None
         self.policy: ChaosPolicy | None = None
         self.controller: ChaosController | None = None
 
     # ------------------------------------------------------------------
-    def _drive(self, coro):
-        with asyncio.Runner(loop_factory=self.loop_factory or VirtualClockLoop) as runner:
-            return runner.run(coro)
+    def attach(self, runtime: LiveRuntime) -> None:
+        self.runtime = runtime
+        runtime.loop_factory = VirtualClockLoop
+        if runtime.settings.time_scale != 1.0:
+            runtime.settings = dataclasses.replace(
+                runtime.settings, time_scale=1.0
+            )
 
-    async def _start_extras(self, flow: LiveDataflow) -> list[asyncio.Task]:
+    def start(self, flow: LiveDataflow) -> list[asyncio.Task]:
         loop = asyncio.get_running_loop()
-        chaos = self.chaos_settings
+        chaos = self.settings
         policy = ChaosPolicy(loop.time)
         flow.transport.chaos = policy
         if chaos.recovery:
@@ -466,9 +464,9 @@ class ChaosRuntime(LiveRuntime):
                 for gateway in flow.gateways.values():
                     gateway.enable_replay(chaos.replay_buffer)
             self.recovery_manager = RecoveryManager(
-                self.planner,
+                self.runtime.planner,
                 flow,
-                self.recovery_metrics,
+                self.report,
                 now=loop.time,
                 replay=chaos.replay_buffer > 0,
             )
@@ -494,13 +492,11 @@ class ChaosRuntime(LiveRuntime):
             nodes,
             is_alive,
             on_failure,
-            self.recovery_metrics,
+            self.report,
             interval=chaos.heartbeat_interval,
             detection_multiplier=chaos.detection_multiplier,
         )
-        controller = ChaosController(
-            flow, policy, self.recovery_metrics, self.script
-        )
+        controller = ChaosController(flow, policy, self.report, self.script)
         self.policy = policy
         self.controller = controller
         return [
@@ -508,17 +504,14 @@ class ChaosRuntime(LiveRuntime):
             asyncio.create_task(self.monitor.run(), name="chaos:heartbeat"),
         ]
 
-    def _finish_report(self, report, flow):
+    def finish(self, report: LiveReport, flow: LiveDataflow) -> LiveReport:
         crashed = {
             entity_id
             for entity_id, gateway in flow.gateways.items()
             if gateway.control.crashed
         }
         violations = audit_federation(
-            self.planner, dataflow=flow, exclude=crashed
+            self.runtime.planner, dataflow=flow, exclude=crashed
         )
-        recovery = dataclasses.replace(
-            self.recovery_metrics.build_report(),
-            audit_violations=tuple(v.render() for v in violations),
-        )
-        return dataclasses.replace(report, recovery=recovery)
+        self.report.close(tuple(v.render() for v in violations))
+        return dataclasses.replace(report, recovery=self.report)

@@ -34,7 +34,7 @@ from typing import Awaitable, Callable
 from repro.coordination.membership import MembershipRepair
 from repro.dissemination.maintenance import repair_after_crash
 from repro.live.runtime import LiveDataflow
-from repro.monitoring.recovery import RecoveryMetrics
+from repro.monitoring.recovery import RecoveryReport
 
 
 class HeartbeatMonitor:
@@ -57,7 +57,7 @@ class HeartbeatMonitor:
         nodes: list[str],
         is_alive: Callable[[str], bool],
         on_failure: Callable[[str], Awaitable[None]],
-        metrics: RecoveryMetrics,
+        metrics: RecoveryReport,
         *,
         interval: float = 0.05,
         detection_multiplier: float = 3.0,
@@ -115,7 +115,7 @@ class RecoveryManager:
         self,
         planner,
         flow: LiveDataflow,
-        metrics: RecoveryMetrics,
+        metrics: RecoveryReport,
         *,
         now: Callable[[], float],
         replay: bool = True,

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import asyncio
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TypeVar
 
 from repro.core.entity import Entity
 from repro.core.system import FederatedSystem, SystemConfig
@@ -115,6 +115,9 @@ class LiveSettings:
             raise ValueError("max_retries must be >= 0")
 
 
+ServiceT = TypeVar("ServiceT", bound="RuntimeService")
+
+
 class TransportStrategy:
     """How a runtime's dataflow maps onto transport substrates.
 
@@ -167,15 +170,53 @@ class TransportStrategy:
             flow.result_channel, flow.tracker, runtime.metrics, flow.clock
         )
 
+    async def wait_drained(self, flow: "LiveDataflow") -> None:
+        """Block until the run, its feeds replayed, has drained.
+
+        In-process, the work tracker is authoritative: every send adds
+        its tuples before any consumer could remove them, so zero
+        in-flight after the feeds finish means the run is done.  A
+        distributed worker waits for the coordinator's federation-wide
+        termination decision instead — its local tracker cannot see
+        batches still crossing sockets.
+        """
+        await flow.tracker.wait_quiescent()
+
+
+class RuntimeService:
+    """A module that cooperates with a live run without being the engine.
+
+    Adaptation, chaos/recovery and the control plane are services: a
+    :class:`LiveRuntime` is handed a list of them and calls each of the
+    three methods below on every one, in list order.  The defaults do
+    nothing, so a service overrides only what it needs.
+    """
+
+    def attach(self, runtime: "LiveRuntime") -> None:
+        """Construction time: adjust the runtime before anything is
+        planned or built (settings, loop factory, throttle)."""
+
+    def start(self, flow: "LiveDataflow") -> list[asyncio.Task]:
+        """The dataflow is built and the loop is running: spawn the
+        service's tasks.  They run beside the dataflow and are
+        cancelled once it has drained."""
+        return []
+
+    def finish(self, report: LiveReport, flow: "LiveDataflow") -> LiveReport:
+        """The run is over: return the report with the service's
+        section attached."""
+        return report
+
 
 @dataclass
 class LiveDataflow:
     """The wired-up moving parts of one live run.
 
-    Built by :meth:`LiveRuntime._build_dataflow` and handed to the
-    extension hooks (:meth:`LiveRuntime._start_extras`), so layers like
-    the chaos/recovery harness can reach every task, channel, and tree
-    of the running federation without re-deriving the wiring.
+    Built by :meth:`LiveRuntime.prepare` and handed to every service's
+    :meth:`~RuntimeService.start` / :meth:`~RuntimeService.finish`, so
+    modules like the chaos/recovery harness can reach every task,
+    channel, and tree of the running federation without re-deriving
+    the wiring.
     """
 
     clock: LiveClock
@@ -259,6 +300,7 @@ class LiveRuntime:
         settings: LiveSettings | None = None,
         *,
         strategy: TransportStrategy | None = None,
+        services: Sequence[RuntimeService] = (),
     ) -> None:
         self.catalog = catalog
         self.config = config
@@ -270,12 +312,23 @@ class LiveRuntime:
         # simulator is used once, to record the seeded source trace.
         self.planner = FederatedSystem(catalog, config)
         self.metrics = LiveMetrics()
-        # Tenant intake throttle; only the control runtime installs one.
+        # Tenant intake throttle, handed to every processor.
         self.throttle: "TenantThrottle | None" = None
         self.report: LiveReport | None = None
         self.dataflow: LiveDataflow | None = None
         self.loop_factory: Callable[[], asyncio.AbstractEventLoop] | None = None
+        self._duration = 0.0
         self._ran = False
+        self.services = list(services)
+        for service in self.services:
+            service.attach(self)
+
+    def service(self, kind: type[ServiceT]) -> ServiceT | None:
+        """The listed service of type ``kind`` (``None`` if not listed)."""
+        for service in self.services:
+            if isinstance(service, kind):
+                return service
+        return None
 
     # ------------------------------------------------------------------
     def submit(self, queries: list[QuerySpec]) -> None:
@@ -291,31 +344,40 @@ class LiveRuntime:
     def run(self, duration: float | None = None) -> LiveReport:
         """Replay ``duration`` virtual seconds of traffic live.
 
-        Blocking façade over the async execution; a runtime instance is
-        single-use (operator state and the trace position are consumed).
+        Blocking façade over :meth:`prepare` + :meth:`execute`; a
+        runtime instance is single-use (operator state and the trace
+        position are consumed).  With :attr:`loop_factory` set (the
+        chaos service's virtual clock) the run is driven on a loop built
+        by that factory instead of the default selector loop.
+        """
+        self.prepare(duration)
+        with asyncio.Runner(loop_factory=self.loop_factory) as runner:
+            return runner.run(self.execute())
+
+    def prepare(
+        self,
+        duration: float | None = None,
+        traces: dict[str, list[tuple[float, StreamTuple]]] | None = None,
+    ) -> LiveDataflow:
+        """Plan-to-dataflow without running it (trace + channel graph).
+
+        Split from execution so a distributed worker can build its
+        inboxes — which peer admission tasks need — before reporting
+        READY, while feeds only start replaying on the coordinator's
+        START.  ``traces`` replays an already recorded source trace
+        (the sanitizer records one per scenario and shares it across
+        schedules) instead of recording this planner's.
         """
         if self._ran:
             raise RuntimeError("a LiveRuntime instance is single-use")
         if self.planner.allocation_result is None:
-            raise RuntimeError("submit() a workload before run()")
+            raise RuntimeError("submit() a workload before running")
         self._ran = True
-        span = self.settings.duration if duration is None else duration
-        traces = self._record_trace(span)
-        self.report = self._drive(self._execute(traces, span))
-        return self.report
-
-    def _drive(self, coro) -> LiveReport:
-        """Run the execution coroutine to completion.
-
-        When :attr:`loop_factory` is set (the chaos harness's virtual
-        clock, the concurrency sanitizer's scheduled loop) the coroutine
-        is driven on a loop built by that factory instead of the default
-        selector loop.
-        """
-        if self.loop_factory is not None:
-            with asyncio.Runner(loop_factory=self.loop_factory) as runner:
-                return runner.run(coro)
-        return asyncio.run(coro)
+        self._duration = self.settings.duration if duration is None else duration
+        if traces is None:
+            traces = self._record_trace(self._duration)
+        self.dataflow = self._build_dataflow(traces)
+        return self.dataflow
 
     # ------------------------------------------------------------------
     def _record_trace(
@@ -500,32 +562,6 @@ class LiveRuntime:
         ]
         return flow
 
-    # ------------------------------------------------------------------
-    # Extension hooks (the chaos/recovery harness overrides these)
-    # ------------------------------------------------------------------
-    async def _start_extras(self, flow: LiveDataflow) -> list[asyncio.Task]:
-        """Spawn auxiliary tasks (chaos controller, failure detector,
-        ...) to run alongside the dataflow; cancelled at quiescence."""
-        return []
-
-    def _finish_report(
-        self, report: LiveReport, flow: LiveDataflow
-    ) -> LiveReport:
-        """Post-process the frozen report (e.g. attach recovery data)."""
-        return report
-
-    async def _await_quiescence(self, flow: LiveDataflow) -> None:
-        """Block until the dataflow has drained.
-
-        In-process, the work tracker is authoritative: every send adds
-        its tuples before any consumer could remove them, so zero
-        in-flight after the feeds finish means the run is done.  The
-        distributed worker overrides this to wait for the coordinator's
-        federation-wide termination decision instead — its local
-        tracker cannot see batches still crossing sockets.
-        """
-        await flow.tracker.wait_quiescent()
-
     async def _shutdown(
         self,
         flow: LiveDataflow,
@@ -558,19 +594,12 @@ class LiveRuntime:
             await collector_task
 
     # ------------------------------------------------------------------
-    async def _execute(
-        self,
-        traces: dict[str, list[tuple[float, StreamTuple]]],
-        duration: float,
-    ) -> LiveReport:
-        flow = self._build_dataflow(traces)
-        self.dataflow = flow
-        return await self._run_flow(flow, duration)
-
-    async def _run_flow(
-        self, flow: LiveDataflow, duration: float
-    ) -> LiveReport:
-        extras = await self._start_extras(flow)
+    async def execute(self) -> LiveReport:
+        """Run the prepared dataflow until it has drained."""
+        flow = self.dataflow
+        extras = [
+            task for service in self.services for task in service.start(flow)
+        ]
 
         # --- run to quiescence ---------------------------------------
         self.metrics.start_clock()
@@ -593,7 +622,7 @@ class LiveRuntime:
         ]
         try:
             await asyncio.gather(*feed_tasks)
-            await self._await_quiescence(flow)
+            await self.strategy.wait_drained(flow)
         finally:
             for task in extras:
                 task.cancel()
@@ -616,7 +645,7 @@ class LiveRuntime:
         self.metrics.stop_clock()
 
         report = self.metrics.build_report(
-            duration=duration,
+            duration=self._duration,
             transport=flow.tstats,
             entity_queue_depth={
                 entity_id: channel.depth
@@ -634,4 +663,7 @@ class LiveRuntime:
                 for entity_id, entity in self.planner.entities.items()
             },
         )
-        return self._finish_report(report, flow)
+        for service in self.services:
+            report = service.finish(report, flow)
+        self.report = report
+        return report

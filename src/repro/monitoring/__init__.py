@@ -11,7 +11,7 @@ its own bookkeeping.
 """
 
 from repro.monitoring.collectors import EntityLoadCollector
-from repro.monitoring.recovery import RecoveryMetrics, RecoveryReport
+from repro.monitoring.recovery import RecoveryReport
 from repro.monitoring.reports import LoadReport, SubtreeLoad
 from repro.monitoring.service import MonitoringService
 
@@ -20,6 +20,5 @@ __all__ = [
     "SubtreeLoad",
     "EntityLoadCollector",
     "MonitoringService",
-    "RecoveryMetrics",
     "RecoveryReport",
 ]

@@ -2,12 +2,12 @@
 
 The paper argues that repartitioning strategies must be judged on three
 axes at once: partition quality, decision-making time, and the number of
-query movements.  :class:`AdaptationMetrics` is the mutable collector the
-live :class:`~repro.live.adaptation.AdaptationController` writes into —
-one entry per control round, plus migration-protocol counters — and
-:meth:`AdaptationMetrics.build_report` freezes it into an
-:class:`AdaptationReport` attached to the run's
-:class:`~repro.live.metrics.LiveReport`.
+query movements.  :class:`AdaptationReport` is the one record of all
+three: the live :class:`~repro.live.adaptation.AdaptationController`
+``record_*``s into it during the run — one entry per control round,
+plus migration-protocol counters — and the
+:class:`~repro.live.adaptation.Adaptation` service attaches it, as it
+is, to the run's :class:`~repro.live.metrics.LiveReport`.
 
 All times are labelled: *virtual* seconds come from the run's
 :class:`~repro.live.entity_task.LiveClock`; *wall* seconds (decision and
@@ -17,7 +17,7 @@ precisely the axis the paper wants measured in real cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.engine.sharing import SharingStats
 
@@ -45,33 +45,72 @@ class AdaptationRound:
     pause_wall_seconds: float
 
 
-class AdaptationMetrics:
-    """Monotone counters shared by the adaptation control loop."""
+@dataclass
+class AdaptationReport:
+    """Adaptation metrics of one adaptive live run.
 
-    def __init__(self, strategy: str) -> None:
-        self.strategy = strategy
-        self.rounds = 0
-        self.adaptations = 0
-        self.queries_migrated = 0
-        self.fragments_migrated = 0
-        self.gross_moves = 0
-        self.tree_attaches = 0
-        self.tree_detaches = 0
-        self.decision_seconds = 0.0
-        self.pause_wall_seconds = 0.0
-        self.audits = 0
-        self.audit_violations = 0
-        self.partition_rebalances = 0
-        self.reshares = 0
-        self.aborted_migrations = 0
-        self.sharing = SharingStats()
-        self._rounds: list[AdaptationRound] = []
+    Attributes:
+        strategy: Repartitioner name (``scratch`` / ``cut`` / ``hybrid``).
+        rounds: Control-loop rounds that sampled load.
+        adaptations: Rounds that actually migrated at least one query.
+        queries_migrated: Net query moves summed over all rounds.
+        fragments_migrated: Stateful fragments transferred with those
+            queries (operator windows move intact, never reset).
+        gross_moves: Individual vertex moves the strategies performed
+            (≥ ``queries_migrated``; the gap is wasted churn).
+        tree_attaches / tree_detaches: Dissemination-tree membership
+            changes driven by post-migration interest refreshes.
+        decision_seconds: Total wall seconds spent inside the
+            repartitioner — the paper's decision-making-time axis.
+        pause_wall_seconds: Total wall seconds sources were gated while
+            migrations drained and transferred state.
+        history: Per-round records, in round order.
+        audits: Post-migration structural-invariant audits run.
+        audit_violations: Violations those audits found (must stay 0).
+        partition_rebalances: Skew-triggered intra-operator partition
+            rebalances (hot-key overrides installed under quiescence).
+        reshares: Entities whose shared-computation groups were
+            recomputed after a migration round.
+        aborted_migrations: Migration rounds that raised mid-protocol
+            and were repaired back to a consistent placement (feeds
+            resumed, sharing re-attached) instead of crashing the run.
+        sharing: Latest realized sharing snapshot (shared fragments,
+            member counts, estimated CPU saved).
+    """
+
+    strategy: str
+    rounds: int = 0
+    adaptations: int = 0
+    queries_migrated: int = 0
+    fragments_migrated: int = 0
+    gross_moves: int = 0
+    tree_attaches: int = 0
+    tree_detaches: int = 0
+    decision_seconds: float = 0.0
+    pause_wall_seconds: float = 0.0
+    history: list[AdaptationRound] = field(default_factory=list)
+    audits: int = 0
+    audit_violations: int = 0
+    partition_rebalances: int = 0
+    reshares: int = 0
+    aborted_migrations: int = 0
+    sharing: SharingStats = SharingStats()
+
+    @property
+    def peak_imbalance(self) -> float:
+        """Worst observed max/ideal load ratio at sampling."""
+        return max((r.imbalance_before for r in self.history), default=0.0)
+
+    @property
+    def final_imbalance(self) -> float:
+        """Ratio observed by the last round."""
+        return self.history[-1].imbalance_before if self.history else 0.0
 
     # ------------------------------------------------------------------
     def record_round(self, round_: AdaptationRound) -> None:
         """Account one completed control round."""
         self.rounds += 1
-        self._rounds.append(round_)
+        self.history.append(round_)
         self.decision_seconds += round_.decision_seconds
         if round_.migrations > 0:
             self.adaptations += 1
@@ -111,87 +150,6 @@ class AdaptationMetrics:
         self.sharing = stats
 
     # ------------------------------------------------------------------
-    def build_report(self) -> "AdaptationReport":
-        """Freeze the collected counters into an :class:`AdaptationReport`."""
-        observed = [r.imbalance_before for r in self._rounds]
-        return AdaptationReport(
-            strategy=self.strategy,
-            rounds=self.rounds,
-            adaptations=self.adaptations,
-            queries_migrated=self.queries_migrated,
-            fragments_migrated=self.fragments_migrated,
-            gross_moves=self.gross_moves,
-            tree_attaches=self.tree_attaches,
-            tree_detaches=self.tree_detaches,
-            decision_seconds=self.decision_seconds,
-            pause_wall_seconds=self.pause_wall_seconds,
-            peak_imbalance=max(observed, default=0.0),
-            final_imbalance=observed[-1] if observed else 0.0,
-            history=tuple(self._rounds),
-            audits=self.audits,
-            audit_violations=self.audit_violations,
-            partition_rebalances=self.partition_rebalances,
-            reshares=self.reshares,
-            aborted_migrations=self.aborted_migrations,
-            sharing=self.sharing,
-        )
-
-
-@dataclass(frozen=True)
-class AdaptationReport:
-    """Aggregated adaptation metrics of one adaptive live run.
-
-    Attributes:
-        strategy: Repartitioner name (``scratch`` / ``cut`` / ``hybrid``).
-        rounds: Control-loop rounds that sampled load.
-        adaptations: Rounds that actually migrated at least one query.
-        queries_migrated: Net query moves summed over all rounds.
-        fragments_migrated: Stateful fragments transferred with those
-            queries (operator windows move intact, never reset).
-        gross_moves: Individual vertex moves the strategies performed
-            (≥ ``queries_migrated``; the gap is wasted churn).
-        tree_attaches / tree_detaches: Dissemination-tree membership
-            changes driven by post-migration interest refreshes.
-        decision_seconds: Total wall seconds spent inside the
-            repartitioner — the paper's decision-making-time axis.
-        pause_wall_seconds: Total wall seconds sources were gated while
-            migrations drained and transferred state.
-        peak_imbalance: Worst observed max/ideal load ratio at sampling.
-        final_imbalance: Ratio observed by the last round.
-        history: Per-round records, in round order.
-        audits: Post-migration structural-invariant audits run.
-        audit_violations: Violations those audits found (must stay 0).
-        partition_rebalances: Skew-triggered intra-operator partition
-            rebalances (hot-key overrides installed under quiescence).
-        reshares: Entities whose shared-computation groups were
-            recomputed after a migration round.
-        aborted_migrations: Migration rounds that raised mid-protocol
-            and were repaired back to a consistent placement (feeds
-            resumed, sharing re-attached) instead of crashing the run.
-        sharing: Latest realized sharing snapshot (shared fragments,
-            member counts, estimated CPU saved).
-    """
-
-    strategy: str
-    rounds: int
-    adaptations: int
-    queries_migrated: int
-    fragments_migrated: int
-    gross_moves: int
-    tree_attaches: int
-    tree_detaches: int
-    decision_seconds: float
-    pause_wall_seconds: float
-    peak_imbalance: float
-    final_imbalance: float
-    history: tuple[AdaptationRound, ...] = ()
-    audits: int = 0
-    audit_violations: int = 0
-    partition_rebalances: int = 0
-    reshares: int = 0
-    aborted_migrations: int = 0
-    sharing: SharingStats = SharingStats()
-
     def summary_lines(self) -> list[str]:
         """Human-readable digest (appended to the live run summary)."""
         return [

@@ -1,10 +1,11 @@
 """Accounting for the multi-tenant control plane.
 
-:class:`ControlMetrics` is the mutable collector the live control plane
-writes into — one entry per lifecycle decision plus quota counters —
-and :meth:`ControlMetrics.build_report` freezes it into a
-:class:`ControlReport` attached to the run's
-:class:`~repro.live.metrics.LiveReport`.
+:class:`ControlReport` is the one record the control plane ``record_*``s
+into — one entry per lifecycle decision — on both legs: the live
+:class:`~repro.control.runtime.Control` service adds the quota and
+delivery tables and attaches it to the run's
+:class:`~repro.live.metrics.LiveReport`; :func:`~repro.control.simulate.
+run_control_sim` returns it beside the simulator's run report.
 
 Admission latency is measured in *virtual* seconds from the arrival
 event to the moment the query's fragments were installed behind the
@@ -16,19 +17,58 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-class ControlMetrics:
-    """Monotone counters shared by the control plane."""
+@dataclass
+class ControlReport:
+    """Control-plane metrics of one run (live or simulated).
 
-    def __init__(self) -> None:
-        self.arrivals = 0
-        self.departures = 0
-        self.registered = 0
-        self.torn_down = 0
-        self.deferred = 0
-        self.rejected = 0
-        self.queue_peak = 0
-        self.quiesce_windows = 0
-        self.admission_latencies: list[float] = []
+    Attributes:
+        arrivals / departures: Lifecycle events the plane processed.
+        registered: Arrivals admitted and wired into the dataflow.
+        torn_down: Departures detached from the dataflow.
+        deferred: Arrivals that waited in the admission queue at least
+            once (the balance constraint refused immediate placement).
+        rejected: Arrivals refused outright (queue full).
+        stranded_in_queue: Arrivals still queued when the run ended.
+        queue_peak: Deepest the admission queue ever got.
+        quiesce_windows: Pause→drain→apply→resume batches executed
+            (several due events share one window).
+        admission_latencies: Virtual seconds from arrival to installed,
+            one sample per admitted query, in admission order.
+        shed_by_tenant: Tuples the fair-quota throttle shed per tenant
+            (empty when quotas are off).
+        delivered_by_tenant: Result tuples delivered per tenant — the
+            fairness numerators the E21 bench gates on.
+
+    ``stranded_in_queue`` and the two per-tenant tables are set once,
+    when the run has ended; everything else grows during it.
+    """
+
+    arrivals: int = 0
+    departures: int = 0
+    registered: int = 0
+    torn_down: int = 0
+    deferred: int = 0
+    rejected: int = 0
+    stranded_in_queue: int = 0
+    queue_peak: int = 0
+    quiesce_windows: int = 0
+    admission_latencies: list[float] = field(default_factory=list)
+    shed_by_tenant: dict = field(default_factory=dict)
+    delivered_by_tenant: dict = field(default_factory=dict)
+
+    @property
+    def mean_admission_latency(self) -> float:
+        """Mean virtual seconds from arrival to installed."""
+        waits = self.admission_latencies
+        return sum(waits) / len(waits) if waits else 0.0
+
+    @property
+    def p95_admission_latency(self) -> float:
+        """95th-percentile virtual seconds from arrival to installed."""
+        waits = sorted(self.admission_latencies)
+        if not waits:
+            return 0.0
+        return waits[min(len(waits) - 1, int(0.95 * len(waits)))]
 
     # ------------------------------------------------------------------
     def record_arrival(self) -> None:
@@ -63,71 +103,6 @@ class ControlMetrics:
         self.quiesce_windows += 1
 
     # ------------------------------------------------------------------
-    def build_report(
-        self,
-        *,
-        shed_by_tenant: dict[str, int] | None = None,
-        delivered_by_tenant: dict[str, int] | None = None,
-        stranded_in_queue: int = 0,
-    ) -> "ControlReport":
-        """Freeze the collected counters into a :class:`ControlReport`."""
-        waits = sorted(self.admission_latencies)
-        p95 = waits[min(len(waits) - 1, int(0.95 * len(waits)))] if waits else 0.0
-        mean = sum(waits) / len(waits) if waits else 0.0
-        return ControlReport(
-            arrivals=self.arrivals,
-            departures=self.departures,
-            registered=self.registered,
-            torn_down=self.torn_down,
-            deferred=self.deferred,
-            rejected=self.rejected,
-            stranded_in_queue=stranded_in_queue,
-            queue_peak=self.queue_peak,
-            quiesce_windows=self.quiesce_windows,
-            mean_admission_latency=mean,
-            p95_admission_latency=p95,
-            shed_by_tenant=dict(shed_by_tenant or {}),
-            delivered_by_tenant=dict(delivered_by_tenant or {}),
-        )
-
-
-@dataclass(frozen=True)
-class ControlReport:
-    """Aggregated control-plane metrics of one live run.
-
-    Attributes:
-        arrivals / departures: Lifecycle events the plane processed.
-        registered: Arrivals admitted and wired into the dataflow.
-        torn_down: Departures detached from the dataflow.
-        deferred: Arrivals that waited in the admission queue at least
-            once (the balance constraint refused immediate placement).
-        rejected: Arrivals refused outright (queue full).
-        stranded_in_queue: Arrivals still queued when the run ended.
-        queue_peak: Deepest the admission queue ever got.
-        quiesce_windows: Pause→drain→apply→resume batches executed
-            (several due events share one window).
-        mean_admission_latency / p95_admission_latency: Virtual seconds
-            from arrival to installed, over admitted queries.
-        shed_by_tenant: Tuples the fair-quota throttle shed per tenant
-            (empty when quotas are off).
-        delivered_by_tenant: Result tuples delivered per tenant — the
-            fairness numerators the E21 bench gates on.
-    """
-
-    arrivals: int = 0
-    departures: int = 0
-    registered: int = 0
-    torn_down: int = 0
-    deferred: int = 0
-    rejected: int = 0
-    stranded_in_queue: int = 0
-    queue_peak: int = 0
-    quiesce_windows: int = 0
-    mean_admission_latency: float = 0.0
-    p95_admission_latency: float = 0.0
-    shed_by_tenant: dict = field(default_factory=dict)
-    delivered_by_tenant: dict = field(default_factory=dict)
-
     def fairness_ratio(self) -> float:
         """Max/min delivered throughput across tenants (1.0 = fair;
         0.0 when fewer than two tenants delivered anything)."""

@@ -3,10 +3,11 @@
 The adaptability story of the paper (§3.2.1 coordinator repair, §3.2.2
 re-allocation, §4 delegation) is only credible if recovery is
 *measured*: how fast failures are detected, how many streams fail over,
-how much data the failover replays versus loses.  :class:`RecoveryMetrics`
-is the mutable collector the heartbeat monitor, chaos controller, and
-recovery manager all write into; :meth:`RecoveryMetrics.build_report`
-freezes it into a :class:`RecoveryReport` attached to the live run's
+how much data the failover replays versus loses.  :class:`RecoveryReport`
+is the one record the heartbeat monitor, chaos controller, and recovery
+manager all ``record_*`` into during the run; the
+:class:`~repro.live.chaos.Chaos` service closes it with the end-of-run
+audit and attaches it to the live run's
 :class:`~repro.live.metrics.LiveReport`.
 
 All counters are monotone (they only grow during a run), and all times
@@ -16,110 +17,17 @@ and the same chaos script produce identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
-class RecoveryMetrics:
-    """Monotone counters shared by the failure-handling tasks."""
-
-    def __init__(self) -> None:
-        self.failures_injected = 0
-        self.detections = 0
-        self.failovers = 0
-        self.streams_unrecovered = 0
-        self.reparented_children = 0
-        self.coordinator_repairs = 0
-        self.heartbeats_sent = 0
-        self.tuples_replayed = 0
-        self.tuples_lost = 0
-        self._failed_at: dict[str, float] = {}
-        self._detected_at: dict[str, float] = {}
-        self._recovered_at: dict[str, float] = {}
-        self._failure_kind: dict[str, str] = {}
-
-    # ------------------------------------------------------------------
-    def record_failure(self, node_id: str, kind: str, at: float) -> None:
-        """A fault was injected at ``node_id`` (virtual time ``at``)."""
-        self.failures_injected += 1
-        self._failed_at.setdefault(node_id, at)
-        self._failure_kind.setdefault(node_id, kind)
-
-    def record_detection(self, node_id: str, at: float) -> None:
-        """The heartbeat monitor declared ``node_id`` dead."""
-        if node_id not in self._detected_at:
-            self.detections += 1
-            self._detected_at[node_id] = at
-
-    def record_recovery(self, node_id: str, at: float) -> None:
-        """Repair actions for ``node_id`` finished."""
-        self._recovered_at.setdefault(node_id, at)
-
-    def record_lost(self, count: int) -> None:
-        """Tuples destroyed by a crash (queued at the dead task)."""
-        self.tuples_lost += count
-
-    def record_replayed(self, count: int) -> None:
-        """Tuples re-fed to a failover delegate from a replay buffer."""
-        self.tuples_replayed += count
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict[str, int]:
-        """The monotone counters at this instant (for monotonicity
-        checks and progress displays)."""
-        return {
-            "failures_injected": self.failures_injected,
-            "detections": self.detections,
-            "failovers": self.failovers,
-            "streams_unrecovered": self.streams_unrecovered,
-            "reparented_children": self.reparented_children,
-            "coordinator_repairs": self.coordinator_repairs,
-            "heartbeats_sent": self.heartbeats_sent,
-            "tuples_replayed": self.tuples_replayed,
-            "tuples_lost": self.tuples_lost,
-        }
-
-    def build_report(self) -> "RecoveryReport":
-        """Freeze the collected counters into a :class:`RecoveryReport`."""
-        detect_delays = [
-            self._detected_at[n] - self._failed_at[n]
-            for n in sorted(self._detected_at)
-            if n in self._failed_at
-        ]
-        recover_delays = [
-            self._recovered_at[n] - self._failed_at[n]
-            for n in sorted(self._recovered_at)
-            if n in self._failed_at
-        ]
-        return RecoveryReport(
-            failures_injected=self.failures_injected,
-            detections=self.detections,
-            failovers=self.failovers,
-            streams_unrecovered=self.streams_unrecovered,
-            reparented_children=self.reparented_children,
-            coordinator_repairs=self.coordinator_repairs,
-            heartbeats_sent=self.heartbeats_sent,
-            tuples_replayed=self.tuples_replayed,
-            tuples_lost=self.tuples_lost,
-            mean_detection_delay=(
-                sum(detect_delays) / len(detect_delays)
-                if detect_delays
-                else 0.0
-            ),
-            mean_time_to_recover=(
-                sum(recover_delays) / len(recover_delays)
-                if recover_delays
-                else 0.0
-            ),
-            failures=tuple(
-                (n, self._failure_kind.get(n, "?"), self._failed_at[n])
-                for n in sorted(self._failed_at)
-            ),
-        )
+def _timeline():
+    """A per-node bookkeeping table: not reported, not compared."""
+    return field(default_factory=dict, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass
 class RecoveryReport:
-    """Aggregated failure/recovery metrics of one chaos run.
+    """Failure/recovery metrics of one chaos run.
 
     Attributes:
         failures_injected: Crash faults applied by the chaos script
@@ -144,22 +52,71 @@ class RecoveryReport:
             by the end-of-run :func:`repro.analysis.invariants.
             audit_federation` pass (crashed entities excluded); must be
             empty after recovery has run.
+
+    The nine counters only grow during a run; the last four attributes
+    are set once, by :meth:`close`, when the run has drained.
     """
 
-    failures_injected: int
-    detections: int
-    failovers: int
-    streams_unrecovered: int
-    reparented_children: int
-    coordinator_repairs: int
-    heartbeats_sent: int
-    tuples_replayed: int
-    tuples_lost: int
-    mean_detection_delay: float
-    mean_time_to_recover: float
+    failures_injected: int = 0
+    detections: int = 0
+    failovers: int = 0
+    streams_unrecovered: int = 0
+    reparented_children: int = 0
+    coordinator_repairs: int = 0
+    heartbeats_sent: int = 0
+    tuples_replayed: int = 0
+    tuples_lost: int = 0
+    mean_detection_delay: float = 0.0
+    mean_time_to_recover: float = 0.0
     failures: tuple[tuple[str, str, float], ...] = ()
     audit_violations: tuple[str, ...] = ()
+    _failed: dict[str, tuple[str, float]] = _timeline()  # node → (kind, at)
+    _detected_at: dict[str, float] = _timeline()
+    _recovered_at: dict[str, float] = _timeline()
 
+    # ------------------------------------------------------------------
+    def record_failure(self, node_id: str, kind: str, at: float) -> None:
+        """A fault was injected at ``node_id`` (virtual time ``at``)."""
+        self.failures_injected += 1
+        self._failed.setdefault(node_id, (kind, at))
+
+    def record_detection(self, node_id: str, at: float) -> None:
+        """The heartbeat monitor declared ``node_id`` dead."""
+        if node_id not in self._detected_at:
+            self.detections += 1
+            self._detected_at[node_id] = at
+
+    def record_recovery(self, node_id: str, at: float) -> None:
+        """Repair actions for ``node_id`` finished."""
+        self._recovered_at.setdefault(node_id, at)
+
+    def record_lost(self, count: int) -> None:
+        """Tuples destroyed by a crash (queued at the dead task)."""
+        self.tuples_lost += count
+
+    def record_replayed(self, count: int) -> None:
+        """Tuples re-fed to a failover delegate from a replay buffer."""
+        self.tuples_replayed += count
+
+    def close(self, audit_violations: tuple[str, ...]) -> None:
+        """Fix the end-of-run values: delays, failure list, audit."""
+
+        def mean_delay(then: dict[str, float]) -> float:
+            delays = [
+                then[n] - self._failed[n][1]
+                for n in sorted(then)
+                if n in self._failed
+            ]
+            return sum(delays) / len(delays) if delays else 0.0
+
+        self.mean_detection_delay = mean_delay(self._detected_at)
+        self.mean_time_to_recover = mean_delay(self._recovered_at)
+        self.failures = tuple(
+            (n, kind, at) for n, (kind, at) in sorted(self._failed.items())
+        )
+        self.audit_violations = audit_violations
+
+    # ------------------------------------------------------------------
     def summary_lines(self) -> list[str]:
         """Human-readable digest (appended to the live run summary)."""
         return [

@@ -22,10 +22,12 @@ from repro.dissemination.maintenance import repair_after_crash
 from repro.dissemination.tree import DisseminationTree
 from repro.interest.predicates import StreamInterest
 from repro.live import (
+    Chaos,
     ChaosEvent,
-    ChaosRuntime,
     ChaosSettings,
+    LiveRuntime,
     LiveSettings,
+    RuntimeService,
     VirtualClockLoop,
     format_script,
     parse_script,
@@ -33,7 +35,7 @@ from repro.live import (
 )
 from repro.live.entity_task import TaskControl
 from repro.live.recovery import HeartbeatMonitor
-from repro.monitoring.recovery import RecoveryMetrics
+from repro.monitoring.recovery import RecoveryReport
 from repro.placement.delegation import DelegationScheme
 from repro.query.spec import QuerySpec
 from repro.streams.catalog import stock_catalog
@@ -72,13 +74,12 @@ def filter_queries():
     return specs
 
 
-def make_runtime(script, *, seed=11, recovery=True, duration=2.0, cls=None):
-    runtime = (cls or ChaosRuntime)(
+def make_runtime(script, *, seed=11, recovery=True, duration=2.0, extra=()):
+    runtime = LiveRuntime(
         make_catalog(),
         make_config(seed),
         LiveSettings(duration=duration, batch_size=4),
-        script=script,
-        chaos=ChaosSettings(recovery=recovery),
+        services=[Chaos(script, ChaosSettings(recovery=recovery)), *extra],
     )
     runtime.submit(filter_queries())
     return runtime
@@ -243,7 +244,7 @@ def test_all_fault_kinds_fire_and_are_recovered():
     other_entities = sorted(
         e for e in runtime.planner.entities if e != entity_id
     )
-    runtime.script = sorted(
+    runtime.service(Chaos).script = sorted(
         [
             ChaosEvent(0.5, "proc_crash", victim),
             ChaosEvent(0.8, "entity_crash", other_entities[0]),
@@ -257,7 +258,7 @@ def test_all_fault_kinds_fire_and_are_recovered():
     report = runtime.run()
     rec = report.recovery
 
-    assert runtime.controller.applied == 5  # every event was applied
+    assert runtime.service(Chaos).controller.applied == 5  # every event was applied
     # both crashes were injected, detected, and repaired
     assert rec.failures_injected == 2
     assert rec.detections == 2
@@ -270,8 +271,8 @@ def test_all_fault_kinds_fire_and_are_recovered():
     assert rec.mean_detection_delay > 0
     assert rec.mean_time_to_recover >= rec.mean_detection_delay
     # the partition actually severed sends; the spike actually delayed
-    assert runtime.policy.failed_sends > 0
-    assert runtime.policy.delayed_sends > 0
+    assert runtime.service(Chaos).policy.failed_sends > 0
+    assert runtime.service(Chaos).policy.delayed_sends > 0
     # the stalled gateway resumed and the run still produced results
     assert not runtime.dataflow.gateways[entity_id].control.stalled
     assert report.results > 0
@@ -288,7 +289,7 @@ def test_killing_a_streams_only_delegate_redelegates_it():
     runtime = make_runtime([])
     entity_id, stream_id, victim = delegate_victim(runtime)
     entity = runtime.planner.entities[entity_id]
-    runtime.script = [ChaosEvent(0.5, "proc_crash", victim)]
+    runtime.service(Chaos).script = [ChaosEvent(0.5, "proc_crash", victim)]
     report = runtime.run()
 
     new_delegate = entity.delegation.delegate_of(stream_id)
@@ -313,7 +314,7 @@ def test_killing_every_processor_of_an_entity_strands_its_streams():
     runtime = make_runtime([])
     entity_id, __, __ = delegate_victim(runtime)
     procs = sorted(runtime.planner.entities[entity_id].processors)
-    runtime.script = [
+    runtime.service(Chaos).script = [
         ChaosEvent(0.4 + 0.2 * i, "proc_crash", proc)
         for i, proc in enumerate(procs)
     ]
@@ -326,24 +327,27 @@ def test_killing_every_processor_of_an_entity_strands_its_streams():
 # ----------------------------------------------------------------------
 # Metrics: monotone and consistent with drops
 # ----------------------------------------------------------------------
-class SamplingChaosRuntime(ChaosRuntime):
-    """Chaos runtime that snapshots the recovery counters during the
-    run so monotonicity is checked on live data, not just at the end."""
+class Sampler(RuntimeService):
+    """Snapshots the recovery counters during the run so monotonicity
+    is checked on live data, not just at the end."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self):
         self.samples = []
 
-    async def _start_extras(self, flow):
-        tasks = await super()._start_extras(flow)
+    def attach(self, runtime):
+        self.recovery = runtime.service(Chaos).report
 
+    def snapshot(self):
+        """The monotone counters (every ``int`` field) at this instant."""
+        return {k: v for k, v in vars(self.recovery).items() if type(v) is int}
+
+    def start(self, flow):
         async def sample():
             while True:
-                self.samples.append(self.recovery_metrics.snapshot())
+                self.samples.append(self.snapshot())
                 await asyncio.sleep(0.05)
 
-        tasks.append(asyncio.create_task(sample(), name="chaos:sampler"))
-        return tasks
+        return [asyncio.create_task(sample(), name="chaos:sampler")]
 
 
 def test_recovery_metrics_are_monotone_and_consistent_with_drops():
@@ -351,17 +355,19 @@ def test_recovery_metrics_are_monotone_and_consistent_with_drops():
         ChaosEvent(0.4, "proc_crash", "entity-1/proc-0"),
         ChaosEvent(0.7, "entity_crash", "entity-2"),
     ]
-    runtime = make_runtime(script, cls=SamplingChaosRuntime)
+    sampler = Sampler()
+    runtime = make_runtime(script, extra=[sampler])
     report = runtime.run()
     baseline = make_runtime(script, recovery=False).run()
 
     # every counter only ever grows during the run
-    assert len(runtime.samples) > 2
-    for before, after in zip(runtime.samples, runtime.samples[1:]):
+    assert len(sampler.samples) > 2
+    assert len(sampler.samples[0]) == 9
+    for before, after in zip(sampler.samples, sampler.samples[1:]):
         for key, value in before.items():
             assert after[key] >= value, key
-    final = runtime.recovery_metrics.snapshot()
-    last = runtime.samples[-1]
+    final = sampler.snapshot()
+    last = sampler.samples[-1]
     for key, value in last.items():
         assert final[key] >= value, key
 
@@ -443,7 +449,7 @@ def test_repair_after_crash_reparents_orphans():
 def test_heartbeat_monitor_detects_silence_exactly_once():
     crashed = {"n1": False}
     failures = []
-    metrics = RecoveryMetrics()
+    metrics = RecoveryReport()
 
     async def on_failure(node_id):
         failures.append(node_id)
@@ -472,9 +478,6 @@ def test_heartbeat_monitor_detects_silence_exactly_once():
     assert failures == ["n1"]  # detected once, never re-detected
     assert metrics.detections == 1
     assert metrics.heartbeats_sent > 0
-    # detection needed >= multiplier * interval of silence
-    report = metrics.build_report()
-    assert report.detections == 1
 
 
 # ----------------------------------------------------------------------
@@ -501,6 +504,29 @@ def test_cli_chaos_command_runs(capsys):
     assert "fault script:" in out
     assert "chaos:" in out
     assert "recovery:" in out
+
+
+def test_cli_chaos_exits_nonzero_on_a_dirty_post_recovery_audit(
+    monkeypatch, capsys
+):
+    """A violation among the survivors after recovery ran is printed
+    *and* fails the command; with ``--no-recovery`` dangling structure
+    around the dead is the expected baseline and the exit stays 0."""
+    from repro.analysis.invariants import InvariantViolation
+    from repro.live import chaos
+
+    monkeypatch.setattr(
+        chaos,
+        "audit_federation",
+        lambda *args, **kwargs: [
+            InvariantViolation("delegation", "entity-0", "planted by the test")
+        ],
+    )
+    args = ["chaos", "--entities", "3", "--queries", "8"]
+    args += ["--duration", "1.0", "--seed", "3", "--faults", "4"]
+    assert main(args) == 1
+    assert "invariant audit: 1 violation(s)" in capsys.readouterr().out
+    assert main(args + ["--no-recovery"]) == 0
 
 
 def test_cli_chaos_accepts_script_file(tmp_path, capsys):

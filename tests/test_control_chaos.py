@@ -15,8 +15,15 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.invariants import audit_federation
-from repro.control import ControlChaosRuntime
-from repro.live import ChaosEvent, ChaosSettings, LiveSettings
+from repro.control import Control
+from repro.live import (
+    Adaptation,
+    Chaos,
+    ChaosEvent,
+    ChaosSettings,
+    LiveRuntime,
+    LiveSettings,
+)
 from repro.workloads import churn_workload
 
 SEED = 11
@@ -32,13 +39,15 @@ def build_runtime(script):
         duration=DURATION,
         churn_per_minute=CHURN_PER_MINUTE,
     )
-    runtime = ControlChaosRuntime(
+    runtime = LiveRuntime(
         catalog,
         config,
         LiveSettings(duration=DURATION, batch_size=8),
-        events=events,
-        script=script,
-        chaos=ChaosSettings(recovery=True),
+        services=[
+            Chaos(script, ChaosSettings(recovery=True)),
+            Adaptation(),
+            Control(events=events),
+        ],
     )
     runtime.submit(queries)
     return runtime, events
@@ -100,6 +109,33 @@ def test_chaos_churn_run_completes_and_audits_clean(churn_under_chaos):
         )
         == []
     )
+
+
+def test_both_controllers_are_reachable_and_distinct(churn_under_chaos):
+    """Each service owns its controller: the fault script's and the
+    adaptation loop's no longer share one attribute name (the chaos
+    controller used to be clobbered, its ``applied`` count unreachable),
+    and the migrator the control plane worked through is the one the
+    run's adaptation section reports on."""
+    __, __, runtime, report, __, __ = churn_under_chaos
+    chaos = runtime.service(Chaos)
+    adaptation = runtime.service(Adaptation)
+    control = runtime.service(Control)
+    assert chaos.controller is not adaptation.controller
+    assert chaos.controller.applied == len(chaos.script) == 2
+    assert control.plane.migrator is adaptation.migrator
+    assert adaptation.migrator.metrics is report.adaptation
+    assert report.control is control.report
+    assert report.control.quiesce_windows > 0
+
+
+def test_control_without_adaptation_fails_at_construction():
+    catalog, config, __, events = churn_workload(
+        seed=SEED, rate=RATE, duration=DURATION, churn_per_minute=60.0
+    )
+    for services in ([Control(events=events)], [Control(), Adaptation()]):
+        with pytest.raises(ValueError, match="Adaptation service"):
+            LiveRuntime(catalog, config, services=services)
 
 
 def test_chaos_churn_survivors_keep_result_parity(churn_under_chaos):

@@ -18,8 +18,8 @@ from repro.analysis.invariants import audit_federation, run_control_smoke
 from repro.cli import main
 from repro.control import (
     AdmissionPolicy,
+    Control,
     ControlEvent,
-    ControlRuntime,
     TenantThrottle,
     predicted_imbalance,
     run_control_sim,
@@ -33,7 +33,12 @@ from repro.distributed.specs import (
     query_to_spec,
 )
 from repro.interest.predicates import StreamInterest
-from repro.live import AdaptationSettings, LiveSettings
+from repro.live import (
+    Adaptation,
+    AdaptationSettings,
+    LiveRuntime,
+    LiveSettings,
+)
 from repro.query.spec import QuerySpec
 from repro.streams.tuples import StreamTuple
 from repro.workloads import churn_workload, sharing_workload
@@ -235,9 +240,9 @@ def test_sim_and_live_make_the_same_admission_decisions():
     __, sim_control = run_control_sim(
         catalog, config, queries, events, duration=2.0
     )
-    live = ControlRuntime(
+    live = LiveRuntime(
         catalog, config, LiveSettings(duration=2.0, batch_size=8),
-        events=events,
+        services=[Adaptation(), Control(events=events)],
     )
     live.submit(queries)
     live_control = live.run().control
@@ -266,9 +271,9 @@ def test_teardown_of_shared_member_keeps_other_members_results():
         catalog, config, queries = sharing_workload(
             seed=5, overlap=0.8, query_count=5, rate=60.0
         )
-        runtime = ControlRuntime(
+        runtime = LiveRuntime(
             catalog, config, LiveSettings(duration=2.0, batch_size=8),
-            events=events,
+            services=[Adaptation(), Control(events=events)],
         )
         runtime.submit(queries)
         report = runtime.run()
@@ -314,13 +319,15 @@ def test_quota_charges_survivors_of_a_dissolved_shared_group():
     )
 
     def build(events):
-        runtime = ControlRuntime(
+        runtime = LiveRuntime(
             catalog,
             config,
             LiveSettings(duration=duration, batch_size=8),
-            # no load-driven migrations: survivors stay where they are
-            AdaptationSettings(imbalance_threshold=1e9),
-            events=events,
+            services=[
+                # no load-driven migrations: survivors stay where they are
+                Adaptation(AdaptationSettings(imbalance_threshold=1e9)),
+                Control(events=events),
+            ],
         )
         runtime.submit(queries)
         return runtime

@@ -2,7 +2,7 @@
 
 The static planner allocates once from catalog rates; these tests drive
 a drifting-rate trace through both the static :class:`LiveRuntime` and
-the :class:`AdaptiveRuntime` and check the loop's contract: load
+one running the :class:`Adaptation` service and check the loop's contract: load
 observed from the monitor drives repartitioning, queries migrate
 online, and the pause → drain → transfer → resume protocol neither
 loses nor duplicates a single result tuple.
@@ -17,8 +17,8 @@ import pytest
 from repro.cli import main
 from repro.core.system import SystemConfig
 from repro.live import (
+    Adaptation,
     AdaptationSettings,
-    AdaptiveRuntime,
     FeedGate,
     LiveClock,
     LiveRuntime,
@@ -44,17 +44,16 @@ def build_runtime(strategy=None):
     settings = LiveSettings(
         duration=DURATION, batch_size=16, send_timeout=2.0, max_retries=6
     )
-    if strategy is None:
-        runtime = LiveRuntime(catalog, config, settings)
-    else:
-        runtime = AdaptiveRuntime(
-            catalog,
-            config,
-            settings,
-            AdaptationSettings(
-                period=0.5, strategy=strategy, imbalance_threshold=1.15
-            ),
+    services = []
+    if strategy is not None:
+        services.append(
+            Adaptation(
+                AdaptationSettings(
+                    period=0.5, strategy=strategy, imbalance_threshold=1.15
+                )
+            )
         )
+    runtime = LiveRuntime(catalog, config, settings, services=services)
     workload = generate_workload(
         catalog,
         WorkloadConfig(
@@ -248,3 +247,26 @@ def test_cli_adapt_command_runs(capsys):
     out = capsys.readouterr().out
     assert "adaptation[cut]" in out
     assert "adaptation cost" in out
+
+
+def test_cli_adapt_exits_nonzero_on_a_dirty_migration_audit(
+    monkeypatch, capsys
+):
+    """A violation found by a post-migration audit is printed *and*
+    fails the command, like ``repro check`` and ``repro race``."""
+    from repro.analysis.invariants import InvariantViolation
+    from repro.live import adaptation
+
+    monkeypatch.setattr(
+        adaptation,
+        "audit_federation",
+        lambda *args, **kwargs: [
+            InvariantViolation("hosting", "entity-0", "planted by the test")
+        ],
+    )
+    args = ["adapt", "--entities", "3", "--queries", "12"]
+    args += ["--duration", "1.5", "--strategy", "cut"]
+    assert main(args) == 1
+    assert "invariant audits: 2 run, 2 violations" in capsys.readouterr().out
+    # the static baseline runs no adaptation loop, hence no audit
+    assert main(args + ["--static"]) == 0

@@ -18,8 +18,8 @@ import pytest
 from repro.analysis.invariants import audit_federation
 from repro.core.system import SystemConfig
 from repro.live import (
+    Adaptation,
     AdaptationSettings,
-    AdaptiveRuntime,
     LiveRuntime,
     LiveSettings,
 )
@@ -42,17 +42,16 @@ def build_runtime(adaptive: bool):
     settings = LiveSettings(
         duration=DURATION, batch_size=16, send_timeout=2.0, max_retries=6
     )
+    services = []
     if adaptive:
-        runtime = AdaptiveRuntime(
-            catalog,
-            config,
-            settings,
-            AdaptationSettings(
-                period=0.5, strategy="hybrid", imbalance_threshold=1.15
-            ),
+        services.append(
+            Adaptation(
+                AdaptationSettings(
+                    period=0.5, strategy="hybrid", imbalance_threshold=1.15
+                )
+            )
         )
-    else:
-        runtime = LiveRuntime(catalog, config, settings)
+    runtime = LiveRuntime(catalog, config, settings, services=services)
     workload = generate_workload(
         catalog,
         WorkloadConfig(

@@ -354,8 +354,12 @@ def test_adaptive_split_preserves_results():
     from dataclasses import replace
 
     from repro.core.system import FederatedSystem
-    from repro.live import LiveSettings
-    from repro.live.adaptation import AdaptationSettings, AdaptiveRuntime
+    from repro.live import (
+        Adaptation,
+        AdaptationSettings,
+        LiveRuntime,
+        LiveSettings,
+    )
     from repro.workloads import sharing_workload
 
     catalog, config, queries = sharing_workload(3)
@@ -365,13 +369,17 @@ def test_adaptive_split_preserves_results():
     system.run(duration=2.5)
     system.sim.run()
 
-    runtime = AdaptiveRuntime(
+    runtime = LiveRuntime(
         catalog,
         config,
         LiveSettings(duration=2.5, batch_size=4),
-        AdaptationSettings(
-            period=0.5, imbalance_threshold=1.01, max_imbalance=1.0
-        ),
+        services=[
+            Adaptation(
+                AdaptationSettings(
+                    period=0.5, imbalance_threshold=1.01, max_imbalance=1.0
+                )
+            )
+        ],
     )
     runtime.submit(queries)
     report = runtime.run()
