@@ -6,9 +6,11 @@ scenario runtimes — production runtimes never pay for it.  Three kinds
 of hooks:
 
 * **synchronization edges** — the runtime's real ordering devices
-  (``LiveChannel`` put/get, ``WorkTracker`` done/wait_quiescent,
-  ``FeedGate`` close/open/wait_open, ``CreditGate`` acquire/release)
-  become vector-clock release/acquire points;
+  (``LiveChannel`` try_put/get, ``WorkTracker`` done/wait_quiescent,
+  ``FeedGate`` close/open/wait_open, ``CreditGate``
+  try_acquire/acquire/release) become vector-clock release/acquire
+  points — the blocking ``put`` enqueues through ``try_put``, so it
+  needs no hook of its own;
 * **serialized sections** — the control plane's synchronous mutation
   blocks (transfer, register, retire, reshare, rebalance, abort
   repair) run atomically on the single-threaded loop, so they chain
@@ -60,23 +62,28 @@ PROTECTED_PREFIXES: tuple[str, ...] = (
 
 
 def wrap_channel(channel: LiveChannel, monitor: HBMonitor) -> None:
-    """Channel hand-off = release at ``put``, acquire after ``get``."""
-    orig_put: Callable[[Any], Awaitable[None]] = channel.put
+    """Channel hand-off = release at ``try_put``, acquire after ``get``.
+
+    Every enqueue goes through ``try_put`` — the transport calls it
+    directly, the blocking ``put`` calls it once per wake-up — so that
+    is the one producer-side hook.
+    """
+    orig_try_put: Callable[[Any], bool] = channel.try_put
     orig_get: Callable[[], Awaitable[Any]] = channel.get
 
-    async def put(item: Any) -> None:
+    def try_put(item: Any) -> bool:
         # Release *before* the enqueue: the consumer may run between
         # the append and the producer resuming, and must already see
         # the producer's clock when it acquires.
         monitor.sync_release(channel)
-        await orig_put(item)
+        return orig_try_put(item)
 
     async def get() -> Any:
         item = await orig_get()
         monitor.sync_acquire(channel)
         return item
 
-    channel.put = put  # type: ignore[method-assign]
+    channel.try_put = try_put  # type: ignore[method-assign]
     channel.get = get  # type: ignore[method-assign]
 
 
@@ -122,8 +129,15 @@ def wrap_gate(gate: FeedGate, monitor: HBMonitor) -> None:
 
 def wrap_credit_gate(gate: CreditGate, monitor: HBMonitor, label: str) -> None:
     """Credit edges plus the DRD004 window-bound check after release."""
+    orig_try_acquire = gate.try_acquire
     orig_acquire = gate.acquire
     orig_release = gate.release
+
+    def try_acquire(n: int = 1) -> bool:
+        taken = orig_try_acquire(n)
+        if taken:
+            monitor.sync_acquire(gate)
+        return taken
 
     async def acquire(n: int = 1) -> None:
         await orig_acquire(n)
@@ -134,6 +148,7 @@ def wrap_credit_gate(gate: CreditGate, monitor: HBMonitor, label: str) -> None:
         await orig_release(n)
         monitor.on_credit_release(label, gate.available, gate.initial)
 
+    gate.try_acquire = try_acquire  # type: ignore[method-assign]
     gate.acquire = acquire  # type: ignore[method-assign]
     gate.release = release  # type: ignore[method-assign]
 

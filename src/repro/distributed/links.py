@@ -17,10 +17,10 @@ Three pieces make a cross-process link behave like an in-process
   over a socket.
 * :class:`RemoteOutbox` — the channel-shaped sender the dataflow uses
   for entities owned by another process.  It implements the
-  ``put``/``close`` peer contract of :class:`LiveChannel` (including
-  cancellation-safe ``put``, ``ChannelClosed`` after close, and the
-  ``depth``/``high_water``/``blocked_puts`` accounting the run report
-  reads), so :class:`~repro.live.transport.LiveTransport` and the
+  ``try_put``/``put``/``close`` peer contract of :class:`LiveChannel`
+  (including cancellation-safe ``put``, ``ChannelClosed`` after close,
+  and the ``depth``/``high_water``/``blocked_puts`` accounting the run
+  report reads), so :class:`~repro.live.transport.LiveTransport` and the
   shutdown path treat local and remote destinations identically.
 
 On the receiving side, a per-connection :class:`Admission` task drains
@@ -65,6 +65,13 @@ class CreditGate:
     def would_block(self) -> bool:
         """Whether an acquire would have to wait right now."""
         return self._credits < 1
+
+    def try_acquire(self, n: int = 1) -> bool:
+        """Take ``n`` credits if the sender holds them; never waits."""
+        if self._credits < n:
+            return False
+        self._credits -= n
+        return True
 
     async def acquire(self, n: int = 1) -> None:
         """Take ``n`` credits, waiting until the receiver returns some."""
@@ -210,6 +217,20 @@ class RemoteOutbox:
     def closed(self) -> bool:
         return self._closed
 
+    def try_put(self, batch: list[StreamTuple]) -> bool:
+        """Send one batch if a credit is in hand; never waits.
+
+        The synchronous half of the :class:`LiveChannel` contract:
+        ``False`` when the link is out of credits, :class:`ChannelClosed`
+        once closed.
+        """
+        if self._closed:
+            raise ChannelClosed(self.name)
+        if not self.gate.try_acquire(1):
+            return False
+        self._ship(batch)
+        return True
+
     async def put(self, batch: list[StreamTuple]) -> None:
         """Frame and send one batch, consuming one flow-control credit.
 
@@ -227,6 +248,10 @@ class RemoteOutbox:
             # taken credit is not returned — the link is down and its
             # credit pool is dead with it.
             raise ChannelClosed(self.name)
+        self._ship(batch)
+
+    def _ship(self, batch: list[StreamTuple]) -> None:
+        """Frame and enqueue one batch whose credit is already taken."""
         self.conn.send(
             codec.encode_frame(
                 codec.BATCH,

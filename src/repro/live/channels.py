@@ -9,6 +9,10 @@ items; :class:`Batcher` accumulates per-destination batches at the
 sender, which amortises per-send overhead exactly like message batching
 amortises per-packet overhead on a real wire.
 
+Underneath it is a deque and two queues of waiter futures (blocked
+producers, blocked consumers), after ``asyncio.Queue``: ``try_put`` with
+room is an append — no lock, no loop callback unless the consumer sleeps.
+
 Each channel is tagged with the network tier it models (``"wan"`` or
 ``"lan"``) and an optional delivery latency in wall-clock seconds; the
 runtime derives that latency from the simulated tier latencies and its
@@ -57,7 +61,8 @@ class LiveChannel:
         self.tier = tier
         self.latency = latency
         self._items: deque[Any] = deque()
-        self._cond = asyncio.Condition()
+        self._putters: deque[asyncio.Future[None]] = deque()
+        self._getters: deque[asyncio.Future[None]] = deque()
         self._closed = False
         # accounting (read by metrics / tests)
         self.puts = 0
@@ -76,28 +81,61 @@ class LiveChannel:
         """Whether :meth:`close` has been called."""
         return self._closed
 
+    @staticmethod
+    def _wake_next(waiters: deque[asyncio.Future[None]]) -> None:
+        """Wake the longest-blocked waiter that is still waiting."""
+        while waiters:
+            waiter = waiters.popleft()
+            if not waiter.done():
+                waiter.set_result(None)
+                return
+
+    async def _wait_in(self, waiters: deque[asyncio.Future[None]]) -> None:
+        """Park the caller in ``waiters`` until the other side (or a close)
+        wakes it.  Cancelled *after* being woken — a send timeout racing a
+        ``get`` — it passes the wake-up on, so a freed slot (a new batch)
+        is never stranded; cancelled before, it leaves the queue."""
+        waiter = asyncio.get_running_loop().create_future()
+        waiters.append(waiter)
+        try:
+            await waiter
+        except BaseException:
+            waiter.cancel()  # no effect once woken
+            try:
+                waiters.remove(waiter)
+            except ValueError:  # popped by _wake_next
+                pass
+            if not waiter.cancelled():
+                self._wake_next(waiters)
+            raise
+
+    def try_put(self, item: Any) -> bool:
+        """Enqueue one batch unless the channel is full (``False``) or
+        closed (:class:`ChannelClosed`); never blocks or yields."""
+        if self._closed:
+            raise ChannelClosed(self.name)
+        items = self._items
+        if len(items) >= self.capacity:
+            return False
+        items.append(item)
+        self.puts += 1
+        if len(items) > self.high_water:
+            self.high_water = len(items)
+        self._wake_next(self._getters)
+        return True
+
     async def put(self, item: Any) -> None:
         """Enqueue one batch, blocking while the channel is full.
 
         Raises :class:`ChannelClosed` if the channel is (or becomes)
-        closed before the item is accepted.  Cancellation (e.g. via
-        ``asyncio.wait_for`` — how the transport implements its send
+        closed before the item is accepted.  Cancellation (e.g. by
+        ``asyncio.timeout`` — how the transport implements its send
         timeout) is safe: a cancelled ``put`` never enqueues.
         """
-        async with self._cond:
-            if self._closed:
-                raise ChannelClosed(self.name)
-            if len(self._items) >= self.capacity:
-                self.blocked_puts += 1
-            while len(self._items) >= self.capacity and not self._closed:
-                await self._cond.wait()
-            if self._closed:
-                raise ChannelClosed(self.name)
-            self._items.append(item)
-            self.puts += 1
-            if len(self._items) > self.high_water:
-                self.high_water = len(self._items)
-            self._cond.notify_all()
+        if not self._closed and len(self._items) >= self.capacity:
+            self.blocked_puts += 1
+        while not self.try_put(item):
+            await self._wait_in(self._putters)
 
     async def get(self) -> Any:
         """Dequeue the next batch, blocking while the channel is empty.
@@ -105,23 +143,23 @@ class LiveChannel:
         Raises :class:`ChannelClosed` once the channel is closed *and*
         drained — a close never discards queued batches.
         """
-        async with self._cond:
-            while not self._items and not self._closed:
-                await self._cond.wait()
-            if not self._items:
+        while not self._items:
+            if self._closed:
                 raise ChannelClosed(self.name)
-            item = self._items.popleft()
-            self.gets += 1
-            self._cond.notify_all()
+            await self._wait_in(self._getters)
+        item = self._items.popleft()
+        self.gets += 1
+        self._wake_next(self._putters)
         if self.latency > 0.0:
             await asyncio.sleep(self.latency)
         return item
 
     async def close(self) -> None:
         """Close the channel, waking every blocked producer/consumer."""
-        async with self._cond:
-            self._closed = True
-            self._cond.notify_all()
+        self._closed = True
+        for waiters in (self._putters, self._getters):
+            while waiters:
+                self._wake_next(waiters)
 
     async def fail(self) -> list[Any]:
         """Close the channel *and* discard its queued batches.
@@ -133,11 +171,9 @@ class LiveChannel:
         layer feeds them to the work tracker, keeping quiescence
         detection exact even mid-crash.
         """
-        async with self._cond:
-            self._closed = True
-            lost = list(self._items)
-            self._items.clear()
-            self._cond.notify_all()
+        lost = list(self._items)
+        self._items.clear()
+        await self.close()
         return lost
 
 

@@ -49,6 +49,8 @@ class LiveClock:
             raise ValueError("time_scale must be >= 0")
         self.time_scale = time_scale
         self._virtual = 0.0
+        # Loop time of virtual 0, anchored by the first scaled pace().
+        self._epoch: float | None = None
         self._advanced = asyncio.Event()
 
     @property
@@ -57,10 +59,21 @@ class LiveClock:
         return self._virtual
 
     async def pace(self, t: float) -> None:
-        """Sleep until virtual time ``t`` (no-op when unscaled)."""
+        """Sleep until virtual time ``t`` is due (no-op when unscaled).
+
+        Deadlines are absolute — ``epoch + t * time_scale`` on the
+        loop's clock — so a late wake-up shortens the next sleep instead
+        of pushing every later emission back, and a tuple that is
+        already due is not slept for at all.
+        """
         if t > self._virtual:
             if self.time_scale > 0.0:
-                await asyncio.sleep((t - self._virtual) * self.time_scale)
+                now = asyncio.get_running_loop().time()
+                if self._epoch is None:
+                    self._epoch = now - self._virtual * self.time_scale
+                delay = self._epoch + t * self.time_scale - now
+                if delay > 0.0:
+                    await asyncio.sleep(delay)
             self._virtual = max(self._virtual, t)
             self._advanced.set()
 

@@ -1,14 +1,22 @@
 """Inter-task sends with timeout, retry/backoff, and drop accounting.
 
 Real inter-entity links fail and stall; the live runtime therefore never
-performs a bare ``channel.put``.  :class:`LiveTransport.send` attempts
-the put under a timeout; a timed-out (or fault-injected) attempt backs
-off exponentially — with seeded jitter so runs are reproducible — and
-retries up to a budget.  A send that exhausts its budget *drops the
-batch and returns*: drops surface as metrics on the run report, never as
-exceptions in the dataflow.  Because a put blocked on a full channel
-eventually times out, the retry path doubles as deadlock insurance for
-cyclic processor topologies under extreme backpressure.
+performs a bare ``channel.put``.  :class:`LiveTransport.send` first
+tries the channel synchronously (``try_put``): with room — the common
+case — the batch is enqueued on the spot and the sender yields to the
+loop exactly once; no task, timer or lock is involved.  Only a *full*
+channel is waited on, under ``asyncio.timeout``; a timed-out (or
+fault-injected) attempt backs off exponentially — with seeded jitter so
+runs are reproducible — and retries up to a budget.  A send that
+exhausts its budget *drops the batch and returns*: drops surface as
+metrics on the run report, never as exceptions in the dataflow.  Because
+a put blocked on a full channel eventually times out, the retry path
+doubles as deadlock insurance for cyclic processor topologies under
+extreme backpressure.
+
+The yield is load-bearing: at ``time_scale=0`` nothing else interleaves
+feeds, gateways and processors, and until window joins expire by event
+time (ROADMAP item 1) their output depends on that interleaving.
 """
 
 from __future__ import annotations
@@ -132,7 +140,9 @@ class LiveTransport:
         Returns ``True`` on delivery, ``False`` on drop.  The batch's
         tuples are registered with the work tracker up front; a drop
         (or a closed receiver) immediately un-registers them so the
-        runtime's quiescence detection stays exact.
+        runtime's quiescence detection stays exact.  Cancelled while
+        blocked on a full channel, a send enqueues nothing; cancelled at
+        its yield, the batch is already delivered and counted.
         """
         count = len(batch)
         self.tracker.add(count)
@@ -150,13 +160,17 @@ class LiveTransport:
                     if extra > 0.0:
                         await asyncio.sleep(extra)
                 try:
-                    await asyncio.wait_for(
-                        channel.put(batch), timeout=self.send_timeout
-                    )
+                    blocked = not channel.try_put(batch)
+                    if blocked:
+                        async with asyncio.timeout(self.send_timeout):
+                            await channel.put(batch)
                     self.stats.batches_sent += 1
                     self.stats.tuples_sent += count
+                    if not blocked:
+                        # The send's one scheduling point (module docs).
+                        await asyncio.sleep(0)
                     return True
-                except asyncio.TimeoutError:
+                except TimeoutError:
                     pass
                 except ChannelClosed:
                     break  # receiver is gone: no point retrying

@@ -246,6 +246,79 @@ def test_credit_gate_rejects_empty_pool():
         CreditGate(0)
 
 
+def test_credit_gate_try_acquire_never_waits():
+    async def scenario():
+        gate = CreditGate(2)
+        assert gate.try_acquire() and gate.try_acquire()
+        assert not gate.try_acquire()  # out of credits: refused, not queued
+        assert gate.available == 0 and gate.outstanding == 2
+        await gate.release(1)
+        assert gate.try_acquire()
+        assert gate.outstanding == 2
+
+    asyncio.run(scenario())
+
+
+def test_remote_outbox_try_put_ships_exactly_like_put():
+    """The synchronous half of the channel contract on a socket link:
+    same frame, same accounting as ``put`` when a credit is in hand;
+    refused without one; ``ChannelClosed`` after close."""
+    from repro.distributed.links import LinkCounters, RemoteOutbox
+    from repro.live.channels import ChannelClosed
+    from repro.live.transport import WorkTracker
+    from repro.streams.tuples import StreamTuple
+
+    class FrameSink:
+        def __init__(self):
+            self.frames = []
+
+        def send(self, frame):
+            self.frames.append(frame)
+
+    batch = [
+        StreamTuple(
+            stream_id="s", seq=seq, created_at=0.1 * seq, values={"v": seq}, size=8.0
+        )
+        for seq in range(3)
+    ]
+
+    def make_outbox():
+        outbox = RemoteOutbox(
+            "entity-1",
+            FrameSink(),
+            CreditGate(1),
+            tracker=WorkTracker(),
+            counters=LinkCounters(),
+        )
+        outbox.tracker.add(len(batch))  # what LiveTransport.send does first
+        return outbox
+
+    def accounting(outbox):
+        return (
+            outbox.conn.frames,
+            outbox.puts,
+            outbox.depth,
+            outbox.high_water,
+            outbox.blocked_puts,
+            outbox.counters.sent,
+            outbox.tracker.in_flight,
+        )
+
+    async def scenario():
+        awaited, tried = make_outbox(), make_outbox()
+        await awaited.put(batch)
+        assert tried.try_put(batch)
+        assert accounting(tried) == accounting(awaited)
+        assert len(tried.conn.frames) == 1 and tried.counters.sent == 3
+        assert not tried.try_put(batch)  # no credit in hand
+        assert accounting(tried) == accounting(awaited)  # ... and no trace
+        await tried.close()
+        with pytest.raises(ChannelClosed):
+            tried.try_put(batch)
+
+    asyncio.run(scenario())
+
+
 # ----------------------------------------------------------------------
 # Federation runs (subprocess + sockets)
 # ----------------------------------------------------------------------

@@ -3,8 +3,17 @@
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.live.channels import Batcher, ChannelClosed, LiveChannel
 
@@ -151,3 +160,241 @@ def test_batcher_size_one_passes_through():
 def test_batcher_rejects_bad_size():
     with pytest.raises(ValueError):
         Batcher(0)
+
+
+# ----------------------------------------------------------------------
+# try_put and the waiter queues
+# ----------------------------------------------------------------------
+async def settle() -> None:
+    """Let every woken or cancelled waiter take its step."""
+    for __ in range(4):
+        await asyncio.sleep(0)
+
+
+def test_try_put_reports_full_and_closed():
+    async def main():
+        ch = LiveChannel("t", capacity=2)
+        assert ch.try_put("a") and ch.try_put("b")
+        assert not ch.try_put("c")  # full: refused, nothing enqueued
+        assert (ch.depth, ch.puts, ch.high_water, ch.blocked_puts) == (2, 2, 2, 0)
+        assert await ch.get() == "a"
+        assert ch.try_put("c")
+        await ch.close()
+        with pytest.raises(ChannelClosed):
+            ch.try_put("d")
+        return [await ch.get(), await ch.get()]
+
+    assert run(main()) == ["b", "c"]
+
+
+def test_cancelled_put_hands_its_wakeup_to_next_producer():
+    """The lost-wake-up case: a producer cancelled after a ``get`` woke
+    it (a send timeout racing the consumer) must neither enqueue nor
+    leave the freed slot unannounced to the producer behind it."""
+
+    async def main():
+        ch = LiveChannel("t", capacity=1)
+        await ch.put("occupies")
+        first = asyncio.create_task(ch.put("first"))
+        second = asyncio.create_task(ch.put("second"))
+        await settle()
+        assert ch.blocked_puts == 2
+        assert await ch.get() == "occupies"  # wakes `first`, no yield
+        first.cancel()  # ... which is cancelled before it can step
+        await settle()
+        assert first.cancelled() and second.done()
+        return ch, await ch.get()
+
+    ch, got = run(main())
+    assert got == "second"
+    assert ch.depth == 0 and ch.puts == 2
+
+
+def test_cancelled_get_hands_its_wakeup_to_next_consumer():
+    async def main():
+        ch = LiveChannel("t", capacity=4)
+        first = asyncio.create_task(ch.get())
+        second = asyncio.create_task(ch.get())
+        await settle()
+        assert ch.try_put("x")  # wakes `first`
+        first.cancel()
+        await settle()
+        assert first.cancelled() and second.done()
+        return ch, second.result()
+
+    ch, got = run(main())
+    assert got == "x"
+    assert ch.depth == 0 and ch.gets == 1
+
+
+def test_close_wakes_every_blocked_producer_then_drains():
+    async def main():
+        ch = LiveChannel("t", capacity=2)
+        await ch.put("a")
+        await ch.put("b")
+        producers = [asyncio.create_task(ch.put(i)) for i in range(3)]
+        await settle()
+        await ch.close()
+        outcomes = await asyncio.gather(*producers, return_exceptions=True)
+        assert all(isinstance(o, ChannelClosed) for o in outcomes)
+        drained = [await ch.get(), await ch.get()]
+        with pytest.raises(ChannelClosed):
+            await ch.get()
+        return drained
+
+    assert run(main()) == ["a", "b"]
+
+
+def test_close_wakes_every_blocked_consumer():
+    async def main():
+        ch = LiveChannel("t", capacity=2)
+        consumers = [asyncio.create_task(ch.get()) for __ in range(3)]
+        await settle()
+        await ch.close()
+        return await asyncio.gather(*consumers, return_exceptions=True)
+
+    assert all(isinstance(o, ChannelClosed) for o in run(main()))
+
+
+def test_fail_returns_discarded_batches_and_wakes_producers():
+    async def main():
+        ch = LiveChannel("t", capacity=2)
+        await ch.put(["a"])
+        await ch.put(["b", "c"])
+        blocked = asyncio.create_task(ch.put(["d"]))
+        await settle()
+        lost = await ch.fail()
+        with pytest.raises(ChannelClosed):
+            await blocked
+        with pytest.raises(ChannelClosed):
+            await ch.get()
+        return ch, lost
+
+    ch, lost = run(main())
+    assert lost == [["a"], ["b", "c"]]
+    assert ch.depth == 0 and ch.closed
+
+
+class ChannelMachine(RuleBasedStateMachine):
+    """Interleaved ``try_put`` / ``put`` / ``get`` / cancel against a
+    plain deque: FIFO, the capacity bound, and who is left blocked.
+
+    The loop is settled after every rule, so blocked producers imply a
+    full channel and blocked consumers an empty one — which makes the
+    model exact: a freed slot goes to the longest-blocked producer, a
+    new batch to the longest-blocked consumer.
+    """
+
+    CAPACITY = 3
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.loop = asyncio.new_event_loop()
+        self.channel = LiveChannel("model", capacity=self.CAPACITY)
+        self.queue: deque[int] = deque()
+        self.putters: list[tuple[asyncio.Task, int]] = []
+        self.getters: list[asyncio.Task] = []
+        self.next_item = 0
+        self.expected_blocked = 0
+
+    def teardown(self) -> None:
+        for task in [task for task, __ in self.putters] + self.getters:
+            task.cancel()
+        self.loop.run_until_complete(settle())
+        self.loop.close()
+
+    def _item(self) -> int:
+        self.next_item += 1
+        return self.next_item
+
+    def _settle(self) -> None:
+        self.loop.run_until_complete(settle())
+
+    def _model_enqueue(self, item: int) -> asyncio.Task | None:
+        """Model side of a successful enqueue; returns the consumer it
+        is handed to, if one was blocked."""
+        self.queue.append(item)
+        return self.getters.pop(0) if self.getters else None
+
+    def _finish_getter(self, getter: asyncio.Task | None) -> None:
+        if getter is not None:
+            assert getter.done()
+            assert getter.result() == self.queue.popleft()
+
+    @rule()
+    def try_put(self) -> None:
+        item = self._item()
+        full = len(self.queue) >= self.CAPACITY
+        assert self.channel.try_put(item) is (not full)
+        if not full:
+            getter = self._model_enqueue(item)
+            self._settle()
+            self._finish_getter(getter)
+
+    @rule()
+    def put(self) -> None:
+        item = self._item()
+        task = self.loop.create_task(self.channel.put(item))
+        if len(self.queue) >= self.CAPACITY:
+            self.expected_blocked += 1
+            self.putters.append((task, item))
+            self._settle()
+            assert not task.done()
+            return
+        getter = self._model_enqueue(item)
+        self._settle()
+        assert task.done() and task.exception() is None
+        self._finish_getter(getter)
+
+    @rule()
+    def get(self) -> None:
+        task = self.loop.create_task(self.channel.get())
+        if not self.queue:
+            self.getters.append(task)
+            self._settle()
+            assert not task.done()
+            return
+        expected = self.queue.popleft()
+        self._settle()
+        assert task.result() == expected
+        if self.putters:
+            producer, item = self.putters.pop(0)
+            assert producer.done() and producer.exception() is None
+            self.queue.append(item)
+
+    @precondition(lambda self: self.putters)
+    @rule(data=st.data())
+    def cancel_blocked_put(self, data) -> None:
+        index = data.draw(st.integers(0, len(self.putters) - 1))
+        task, __ = self.putters.pop(index)
+        task.cancel()
+        self._settle()
+        assert task.cancelled()
+
+    @precondition(lambda self: self.getters)
+    @rule(data=st.data())
+    def cancel_blocked_get(self, data) -> None:
+        index = data.draw(st.integers(0, len(self.getters) - 1))
+        task = self.getters.pop(index)
+        task.cancel()
+        self._settle()
+        assert task.cancelled()
+
+    @invariant()
+    def channel_matches_model(self) -> None:
+        channel = self.channel
+        assert channel.depth == len(self.queue) <= self.CAPACITY
+        assert channel.high_water <= self.CAPACITY
+        assert channel.blocked_puts == self.expected_blocked
+        assert channel.puts - channel.gets == channel.depth
+        assert all(not task.done() for task, __ in self.putters)
+        assert all(not task.done() for task in self.getters)
+        # cancelled waiters take their future with them
+        assert len(channel._putters) == len(self.putters)
+        assert len(channel._getters) == len(self.getters)
+
+
+ChannelMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+test_channel_against_deque_model = ChannelMachine.TestCase

@@ -13,6 +13,7 @@ import random
 
 from repro.live.channels import LiveChannel
 from repro.live.chaos import VirtualClockLoop
+from repro.live.entity_task import LiveClock
 from repro.live.metrics import TransportStats
 from repro.live.transport import LiveTransport, WorkTracker
 
@@ -37,6 +38,25 @@ def make_transport(**overrides):
     return LiveTransport(**defaults)
 
 
+def count_loop_work(monkeypatch) -> dict[str, int]:
+    """Count the tasks and timers the running loop is asked for."""
+    loop = asyncio.get_running_loop()
+    calls = {"create_task": 0, "call_later": 0, "call_at": 0}
+
+    def counting(name):
+        original = getattr(loop, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(loop, name, counting(name))
+    return calls
+
+
 def test_send_delivers_and_counts():
     async def main():
         transport = make_transport()
@@ -51,6 +71,94 @@ def test_send_delivers_and_counts():
     assert transport.stats.tuples_sent == 3
     assert transport.stats.retries == 0
     assert transport.tracker.in_flight == 3  # consumer has not drained
+
+
+def test_send_with_room_allocates_nothing_on_the_loop(monkeypatch):
+    """The common case: no task, no timer — a put and one yield."""
+
+    async def main():
+        transport = make_transport()
+        ch = LiveChannel("t", capacity=4)
+        calls = count_loop_work(monkeypatch)
+        for __ in range(3):
+            assert await transport.send(ch, ["a"])
+        return transport, ch, dict(calls)
+
+    transport, ch, calls = run(main())
+    assert calls == {"create_task": 0, "call_later": 0, "call_at": 0}
+    assert ch.depth == 3 and ch.blocked_puts == 0
+    assert transport.stats.batches_sent == 3
+
+
+def test_send_with_room_suspends_the_sender_exactly_once():
+    """A send is one scheduling point: a task already in the ready
+    queue runs once — not zero times, not twice — before it returns."""
+
+    async def main():
+        transport = make_transport()
+        ch = LiveChannel("t", capacity=4)
+        order = []
+
+        async def other():
+            order.append("other-1")
+            await asyncio.sleep(0)
+            order.append("other-2")
+
+        task = asyncio.create_task(other())
+        await transport.send(ch, ["a"])
+        order.append("send")
+        await task
+        return order
+
+    assert run(main()) == ["other-1", "send", "other-2"]
+
+
+def test_full_channel_times_out_without_a_task(monkeypatch):
+    """The blocked path keeps its timeout, retries and drop accounting
+    but waits in the sender itself: one timer per attempt, no task."""
+
+    async def main():
+        transport = make_transport()
+        ch = LiveChannel("t", capacity=1)
+        await ch.put(["occupies"])
+        calls = count_loop_work(monkeypatch)
+        ok = await transport.send(ch, ["a", "b"])
+        return transport, ch, ok, dict(calls)
+
+    transport, ch, ok, calls = run(main())
+    assert not ok
+    assert calls["create_task"] == 0
+    # three timeouts (call_at) and two backoff sleeps (call_later,
+    # which the base loop itself turns into call_at)
+    assert calls["call_later"] == 2 and calls["call_at"] == 3 + 2
+    assert ch.depth == 1 and ch.blocked_puts == 3
+    assert len(ch._putters) == 0  # timed-out attempts leave no waiter behind
+    assert transport.stats.retries == 2
+    assert transport.stats.dropped_batches == 1
+    assert transport.stats.dropped_tuples == 2
+    assert transport.tracker.in_flight == 0
+
+
+def test_send_cancelled_at_its_yield_has_delivered_and_counted():
+    """The batch is enqueued before the yield, so a sender cancelled
+    there (a crash, shutdown) must already be in the stats: what the
+    channel took and what the transport says it sent never disagree."""
+
+    async def main():
+        transport = make_transport()
+        ch = LiveChannel("t", capacity=4)
+        sender = asyncio.create_task(transport.send(ch, ["a", "b"]))
+        await asyncio.sleep(0)  # sender runs up to its yield
+        assert ch.depth == 1 and not sender.done()
+        sender.cancel()
+        await asyncio.gather(sender, return_exceptions=True)
+        return transport, ch, sender
+
+    transport, ch, sender = run(main())
+    assert sender.cancelled()
+    assert ch.puts == transport.stats.batches_sent == 1
+    assert transport.stats.tuples_sent == transport.tracker.in_flight == 2
+    assert transport.stats.dropped_batches == 0
 
 
 def test_full_channel_retries_then_drops():
@@ -171,3 +279,82 @@ def test_work_tracker_quiescence():
         return tracker.in_flight
 
     assert run(main()) == 0
+
+
+# ----------------------------------------------------------------------
+# Pacing against absolute deadlines
+# ----------------------------------------------------------------------
+OVERSLEEP = 0.004
+
+
+def oversleeping(monkeypatch) -> None:
+    """Make every timed ``asyncio.sleep`` wake ``OVERSLEEP`` late."""
+    real_sleep = asyncio.sleep
+
+    async def sleep(delay, result=None):
+        return await real_sleep(delay + OVERSLEEP if delay > 0 else delay, result)
+
+    monkeypatch.setattr(asyncio, "sleep", sleep)
+
+
+def test_pace_does_not_accumulate_late_wakeups(monkeypatch):
+    """Deadlines are absolute: the last of N emissions is at most one
+    oversleep late, not N of them."""
+    oversleeping(monkeypatch)
+    step, count = 0.01, 50
+
+    async def main():
+        clock = LiveClock(time_scale=1.0)
+        loop = asyncio.get_running_loop()
+        start = loop.time()
+        lateness = []
+        for index in range(1, count + 1):
+            await clock.pace(index * step)
+            lateness.append(loop.time() - start - index * step)
+        return lateness
+
+    lateness = run(main())
+    assert min(lateness) >= -1e-9  # never early
+    assert max(lateness) <= OVERSLEEP + 1e-9
+    assert lateness[-1] <= OVERSLEEP + 1e-9
+
+
+def test_two_feeds_on_one_clock_keep_their_relative_order(monkeypatch):
+    oversleeping(monkeypatch)
+    step, count = 0.01, 40
+
+    async def main():
+        clock = LiveClock(time_scale=1.0)
+        loop = asyncio.get_running_loop()
+        start = loop.time()
+        emitted = []
+
+        async def feed(offset):
+            for index in range(count):
+                t = (2 * index + offset) * step
+                await clock.pace(t)
+                emitted.append((t, loop.time() - start))
+
+        await asyncio.gather(feed(1), feed(2))
+        return emitted
+
+    emitted = run(main())
+    assert [t for t, __ in emitted] == sorted(t for t, __ in emitted)
+    assert all(-1e-9 <= at - t <= OVERSLEEP + 1e-9 for t, at in emitted)
+
+
+def test_unscaled_pace_never_reads_the_loop_clock(monkeypatch):
+    async def main():
+        clock = LiveClock(time_scale=0.0)
+        loop = asyncio.get_running_loop()
+
+        def no_time():
+            raise AssertionError("time_scale=0 must not read loop.time()")
+
+        monkeypatch.setattr(loop, "time", no_time)
+        for index in range(1, 4):
+            await clock.pace(index * 0.5)
+        monkeypatch.undo()
+        return clock.now
+
+    assert run(main()) == 1.5

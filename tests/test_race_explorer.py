@@ -228,6 +228,51 @@ def test_channel_edge_orders_accesses():
     assert monitor.findings() == []
 
 
+def test_synchronous_fast_path_edges_order_accesses():
+    """``try_put`` (how the transport enqueues) and ``try_acquire`` carry
+    the same edges as their awaited forms."""
+    from repro.distributed.links import CreditGate
+    from repro.live.channels import LiveChannel
+    from repro.analysis.concurrency.instrument import (
+        wrap_channel,
+        wrap_credit_gate,
+    )
+
+    monitor = HBMonitor()
+    state = TrackedState({}, monitor, "table")
+
+    async def main() -> None:
+        asyncio.get_running_loop().set_task_factory(monitor.task_factory)
+        channel = LiveChannel("race-test", capacity=4)
+        wrap_channel(channel, monitor)
+        gate = CreditGate(1)
+        wrap_credit_gate(gate, monitor, "race-test")
+        assert gate.try_acquire()
+
+        async def writer() -> None:
+            state["k"] = 1
+            assert channel.try_put("ready")
+
+        async def reader() -> None:
+            await channel.get()
+            state["k"] = 2
+            await gate.release()
+
+        async def credited() -> None:
+            while not gate.try_acquire():
+                await asyncio.sleep(0)
+            _ = state["k"]
+
+        await asyncio.gather(
+            asyncio.create_task(writer(), name="race:w"),
+            asyncio.create_task(reader(), name="race:dataflow-r"),
+            asyncio.create_task(credited(), name="race:dataflow-c"),
+        )
+
+    asyncio.run(main())
+    assert monitor.findings() == []
+
+
 def test_drd_rules_documented():
     assert set(DRD_RULES) == {"DRD001", "DRD002", "DRD003", "DRD004"}
     for text in DRD_RULES.values():
