@@ -96,15 +96,18 @@ def _best_seconds(*fns, rounds=9):
 
 
 def test_batch_dataplane_speedup(benchmark):
-    """Per-tuple vs fused-batch execution of the same fragment.
+    """One fragment fed singletons vs fed the whole batch.
 
-    The per-tuple path pays ``apply`` dispatch and an intermediate list
-    per operator *per tuple*; the batch path runs each operator's
-    vectorized kernel over the whole batch.  Both must produce the
-    identical output — the speedup is pure dispatch/allocation
-    amortisation.  Also measures the codegen'd interest kernel against
-    the interpreted ``matches_values`` path, and writes the whole
-    comparison to ``BENCH_dataplane.json``.
+    There is one kernel per operator, so this is not twin against twin:
+    the denominator (``pipeline_per_tuple_tps``) is ``Fragment.run`` —
+    ``run_batch([tup])``, the same kernels on batches of one, as the
+    simulator drives them — and the numerator is one ``run_batch`` over
+    all the tuples.  The ratio is what batching amortises: a stats
+    update, a kernel call and an intermediate list per operator per
+    *call*.  Both cuttings must produce the identical output.  Also
+    measures the codegen'd interest kernel against the interpreted
+    ``matches_values`` path, and writes the whole comparison to
+    ``BENCH_dataplane.json``.
     """
     tuples = _dataplane_tuples()
     per_tuple_frag = _dataplane_fragment()
@@ -119,7 +122,7 @@ def test_batch_dataplane_speedup(benchmark):
     def batched():
         return batch_frag.run_batch(tuples, 0.0)
 
-    # the correctness contract: batch output == per-tuple output
+    # the correctness contract: output is invariant to the cutting
     assert per_tuple() == batched()
 
     interest = StreamInterest.on(
@@ -158,12 +161,12 @@ def test_batch_dataplane_speedup(benchmark):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
-    print_header("E0b — compiled batch dataplane vs per-tuple execution")
+    print_header("E0b — compiled batch dataplane: one batch vs singletons")
     table = Table(["path", "tuples/s", "speedup"])
-    table.add_row(["per-tuple fragment", metrics["pipeline_per_tuple_tps"], 1.0])
+    table.add_row(["fragment, singletons", metrics["pipeline_per_tuple_tps"], 1.0])
     table.add_row(
         [
-            "fused batch fragment",
+            "fragment, one batch",
             metrics["pipeline_batch_tps"],
             metrics["pipeline_speedup"],
         ]
@@ -185,8 +188,8 @@ def test_batch_dataplane_speedup(benchmark):
     )
     write_bench_json("dataplane", metrics)
 
-    # acceptance floor: the batch filter/map pipeline must be >= 3x the
-    # per-tuple path (measured ~5x on the reference container)
+    # acceptance floor: one batch through the filter/map pipeline must
+    # be >= 3x the same tuples fed one at a time (measured ~7x)
     assert metrics["pipeline_speedup"] >= 3.0
     assert metrics["predicate_speedup"] >= 2.0
 

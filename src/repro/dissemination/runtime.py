@@ -122,17 +122,6 @@ class DisseminationRuntime:
         """Push one tuple into the tree at the source."""
         self._forward(SOURCE, self.source_node_id, tup)
 
-    def inject_batch(self, batch: list[StreamTuple]) -> None:
-        """Push a whole batch into the tree at the source.
-
-        The batch path filters each child edge with the compiled
-        aggregate kernel over the whole batch and crosses the edge with
-        *one* network send carrying the surviving tuples — per-tuple
-        delivery accounting is identical, per-send overhead is paid once
-        per batch.
-        """
-        self._forward_batch(SOURCE, self.source_node_id, batch)
-
     def _forward(self, node: str, node_net_id: str, tup: StreamTuple) -> None:
         for child in self.tree.children_of(node):
             if self.early_filtering and not self.tree.needs_tuple(
@@ -151,37 +140,6 @@ class DisseminationRuntime:
                 payload=(child, payload),
                 on_delivery=self._deliver,
             )
-
-    def _forward_batch(
-        self, node: str, node_net_id: str, batch: list[StreamTuple]
-    ) -> None:
-        for child in self.tree.children_of(node):
-            if self.early_filtering:
-                kept = self.tree.filter_batch(child, batch)
-                self.stats.filtered_edges += len(batch) - len(kept)
-                if not kept:
-                    continue
-            else:
-                kept = list(batch)
-            if self.transform:
-                kept = [self._project_for(child, tup) for tup in kept]
-            self.stats.forwarded_edges += len(kept)
-            self.network.send(
-                node_net_id,
-                child,
-                sum(tup.size for tup in kept),
-                payload=(child, kept),
-                on_delivery=self._deliver_batch,
-            )
-
-    def _deliver_batch(self, payload: tuple[str, list[StreamTuple]]) -> None:
-        entity, batch = payload
-        now = self.sim.now
-        for tup in batch:
-            self.stats.record(entity, tup, now)
-            for handler in self._handlers:
-                handler(entity, tup)
-        self._forward_batch(entity, entity, batch)
 
     def _project_for(self, child: str, tup: StreamTuple) -> StreamTuple:
         """Shrink a tuple to the child subtree's declared attributes."""

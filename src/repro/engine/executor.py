@@ -97,45 +97,10 @@ class LocalEngine:
         # Operator state must advance in arrival order, so the chain runs
         # now; the CPU charge delays only the *visibility* of outputs.
         outputs = runtime.fragment.run(tup, self.sim.now)
-        deliver = downstream if downstream is not None else None
 
         def complete() -> None:
             runtime.tuples_out += len(outputs)
-            target = deliver if deliver is not None else runtime.downstream
-            if target is not None:
-                for out in outputs:
-                    target(out)
-
-        self.processor.submit(cost, on_done=complete, tag=fragment_id)
-
-    def ingest_batch(
-        self,
-        fragment_id: str,
-        batch: list[StreamTuple],
-        downstream: Downstream | None = None,
-    ) -> None:
-        """Feed a whole batch to a fragment as one amortised work item.
-
-        The batch runs through the fragment's fused pipeline
-        (:meth:`~repro.engine.plan.Fragment.run_batch`) and is charged
-        as a *single* CPU work item of the amortised batch cost, so the
-        per-event scheduling overhead — and the per-tuple cost probing —
-        is paid once per batch instead of once per tuple.  Outputs
-        become visible together when the work item completes, mirroring
-        how :meth:`ingest` defers visibility behind the CPU charge.
-        """
-        runtime = self._runtimes.get(fragment_id)
-        if runtime is None or not batch:
-            return
-        runtime.tuples_in += len(batch)
-        cost = runtime.fragment.cost_for_batch(batch)
-        runtime.busy_cost += cost
-        outputs = runtime.fragment.run_batch(batch, self.sim.now)
-        deliver = downstream if downstream is not None else None
-
-        def complete() -> None:
-            runtime.tuples_out += len(outputs)
-            target = deliver if deliver is not None else runtime.downstream
+            target = downstream if downstream is not None else runtime.downstream
             if target is not None:
                 for out in outputs:
                     target(out)

@@ -54,6 +54,7 @@ class WindowAggregateOperator(Operator):
         self._current_window: int | None = None
         # group key -> (count, sum, min, max)
         self._accumulators: dict[float, list[float]] = {}
+        self._out_stream = f"{name}.out"
         self._emit_seq = 0
 
     # ------------------------------------------------------------------
@@ -76,7 +77,7 @@ class WindowAggregateOperator(Operator):
                 values[self.group_by] = group
             out.append(
                 StreamTuple(
-                    stream_id=f"{self.name}.out",
+                    stream_id=self._out_stream,
                     seq=self._emit_seq,
                     created_at=window_end,
                     values=values,
@@ -87,33 +88,11 @@ class WindowAggregateOperator(Operator):
         self._accumulators.clear()
         return out
 
-    def process(self, tup: StreamTuple, now: float) -> list[StreamTuple]:
-        if self.attribute not in tup.values:
-            return [tup]
-        window_index = math.floor(tup.created_at / self.window)
-        out: list[StreamTuple] = []
-        if self._current_window is None:
-            self._current_window = window_index
-        elif window_index > self._current_window:
-            out = self._flush(self._current_window)
-            self._current_window = window_index
-        group = tup.values.get(self.group_by, 0.0) if self.group_by else 0.0
-        value = tup.value(self.attribute)
-        acc = self._accumulators.get(group)
-        if acc is None:
-            self._accumulators[group] = [1, value, value, value]
-        else:
-            acc[0] += 1
-            acc[1] += value
-            acc[2] = min(acc[2], value)
-            acc[3] = max(acc[3], value)
-        return out
-
     def process_batch(
         self, batch: list[StreamTuple], now: float
     ) -> list[StreamTuple]:
-        """Batch kernel: accumulate the whole batch, flushing windows
-        inline exactly where the per-tuple path would."""
+        """Accumulate the whole batch; a window flushes inline, at the
+        first tuple that belongs to a later one."""
         attribute = self.attribute
         window = self.window
         group_by = self.group_by

@@ -1,11 +1,14 @@
 """Operator base class and per-operator statistics.
 
-Operators are push-based: ``process(tup, now)`` consumes one input tuple
-and returns zero or more output tuples.  Every operator declares a
-nominal CPU cost per input tuple and an estimated selectivity (expected
-outputs per input); both feed the placement and ordering optimisers, and
-both are tracked empirically so the Adaptation Module (§4.2) can react
-when reality drifts from the estimate.
+Operators are push-based and batch-first: ``process_batch(batch, now)``
+consumes a list of input tuples in order and returns the concatenated
+outputs.  It is the *one* kernel an operator implements — a single
+tuple is a batch of one, which is how the simulator and the partition
+stages feed it.  Every operator declares a nominal CPU cost per input
+tuple and an estimated selectivity (expected outputs per input); both
+feed the placement and ordering optimisers, and both are tracked
+empirically so the Adaptation Module (§4.2) can react when reality
+drifts from the estimate.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ class OperatorStats:
 class Operator:
     """Base class for all stream operators.
 
+    A subclass implements :meth:`process_batch` and nothing else of the
+    dataplane: :meth:`process`, :meth:`apply` and :meth:`apply_batch`
+    live here only and all funnel into that one kernel.
+
     Args:
         name: Instance name (unique within its plan).
         cost_per_tuple: Nominal CPU seconds charged per input tuple.
@@ -54,39 +61,27 @@ class Operator:
         self.stats = OperatorStats()
 
     # ------------------------------------------------------------------
-    def process(self, tup: StreamTuple, now: float) -> list[StreamTuple]:
-        """Consume one tuple; must be implemented by subclasses."""
-        raise NotImplementedError
-
     def process_batch(
         self, batch: list[StreamTuple], now: float
     ) -> list[StreamTuple]:
-        """Consume a whole batch; returns the concatenated outputs.
+        """Consume a batch in order; must be implemented by subclasses.
 
-        Correctness contract: the result must equal concatenating
-        ``process(tup, now)`` over the batch in order — batch execution
-        is an optimisation, never a semantic change.  The base version
-        is that exact loop; operators override it with vectorized
-        kernels (comprehensions, pre-bound locals) that skip the
-        per-tuple dispatch and list allocations.
+        Correctness contract (*cut-invariance*): outputs and operator
+        state depend only on the tuple sequence and the ``now`` each
+        tuple is processed under, never on where the sequence is cut
+        into batches — feeding ``[a, b, c]`` must equal feeding ``[a]``
+        then ``[b, c]``.  Stateful kernels therefore advance their
+        windows tuple by tuple *inside* the loop.
         """
-        out: list[StreamTuple] = []
-        extend = out.extend
-        process = self.process
-        for tup in batch:
-            extend(process(tup, now))
-        return out
+        raise NotImplementedError
+
+    def process(self, tup: StreamTuple, now: float) -> list[StreamTuple]:
+        """Consume one tuple: a batch of one.  Not to be overridden."""
+        return self.process_batch([tup], now)
 
     def cost(self, tup: StreamTuple) -> float:
         """CPU seconds this input tuple costs (default: the nominal cost)."""
         return self.cost_per_tuple
-
-    def apply(self, tup: StreamTuple, now: float) -> list[StreamTuple]:
-        """``process`` wrapped with statistics accounting."""
-        self.stats.tuples_in += 1
-        out = self.process(tup, now)
-        self.stats.tuples_out += len(out)
-        return out
 
     def apply_batch(
         self, batch: list[StreamTuple], now: float
@@ -96,6 +91,10 @@ class Operator:
         out = self.process_batch(batch, now)
         self.stats.tuples_out += len(out)
         return out
+
+    def apply(self, tup: StreamTuple, now: float) -> list[StreamTuple]:
+        """``apply_batch`` on a batch of one.  Not to be overridden."""
+        return self.apply_batch([tup], now)
 
     @property
     def selectivity(self) -> float:

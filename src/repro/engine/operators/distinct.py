@@ -30,33 +30,14 @@ class DistinctOperator(Operator):
         self._last_seen: dict[float, float] = {}
         self._order: deque[tuple[float, float]] = deque()  # (time, value)
 
-    def _expire(self, now: float) -> None:
-        horizon = now - self.window
-        while self._order and self._order[0][0] < horizon:
-            seen_at, value = self._order.popleft()
-            if self._last_seen.get(value) == seen_at:
-                del self._last_seen[value]
-
-    def process(self, tup: StreamTuple, now: float) -> list[StreamTuple]:
-        if self.attribute not in tup.values:
-            return [tup]
-        self._expire(tup.created_at)
-        value = tup.value(self.attribute)
-        duplicate = value in self._last_seen
-        self._last_seen[value] = tup.created_at
-        self._order.append((tup.created_at, value))
-        if duplicate:
-            return []
-        return [tup]
-
     def process_batch(
         self, batch: list[StreamTuple], now: float
     ) -> list[StreamTuple]:
-        """Batch kernel: one tight loop over pre-bound window state.
+        """One tight loop over pre-bound window state.
 
-        Sequential by nature (each tuple's verdict depends on the ones
-        before it), but the batch path hoists every attribute lookup out
-        of the loop.
+        Sequential by nature: each tuple's verdict depends on the ones
+        before it, and the window expires by the tuple's own
+        ``created_at`` before every lookup.
         """
         attribute = self.attribute
         window = self.window

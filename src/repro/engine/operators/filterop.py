@@ -14,8 +14,8 @@ class FilterOperator(Operator):
     The same predicate model expresses query selections and the early
     filters installed at dissemination-tree ancestors, so a query's
     interest literally *is* its leading filter.  The interest is
-    compiled once (see :mod:`repro.interest.compiled`) and both the
-    per-tuple and the batch path run the codegen'd kernel.
+    compiled once (see :mod:`repro.interest.compiled`) into the
+    codegen'd kernel the batch loop runs.
     """
 
     def __init__(
@@ -55,19 +55,14 @@ class FilterOperator(Operator):
         """
         return ("filter", *self._interest.fingerprint())
 
-    def process(self, tup: StreamTuple, now: float) -> list[StreamTuple]:
-        if tup.stream_id != self._interest.stream_id:
-            # Tuples of other streams pass through untouched (a filter
-            # constrains only its own stream).
-            return [tup]
-        if self._match(tup.values):
-            return [tup]
-        return []
-
     def process_batch(
         self, batch: list[StreamTuple], now: float
     ) -> list[StreamTuple]:
-        """Batch kernel: one comprehension over the compiled predicate."""
+        """One comprehension over the compiled predicate.
+
+        Tuples of other streams pass through untouched (a filter
+        constrains only its own stream).
+        """
         stream_id = self._interest.stream_id
         match = self._match
         return [

@@ -56,17 +56,12 @@ class WindowJoinOperator(Operator):
             left_stream: deque(),
             right_stream: deque(),
         }
+        self._out_stream = f"{name}.out"
         # Output sequence counter; advances with every emitted join
-        # result so batch and per-tuple execution number outputs alike.
+        # result, so numbering is independent of batch boundaries.
         self._emit_seq = 0
 
     # ------------------------------------------------------------------
-    def _expire(self, now: float) -> None:
-        horizon = now - self.window
-        for window in self._windows.values():
-            while window and window[0].created_at < horizon:
-                window.popleft()
-
     def window_size(self, stream_id: str) -> int:
         """Current number of buffered tuples for one input stream."""
         return len(self._windows[stream_id])
@@ -97,51 +92,25 @@ class WindowJoinOperator(Operator):
         probes = len(self._windows.get(other, ()))
         return self.cost_per_tuple + self.cost_per_probe * probes
 
-    def process(self, tup: StreamTuple, now: float) -> list[StreamTuple]:
-        if tup.stream_id not in self._windows:
-            return [tup]
-        self._expire(now)
-        is_left = tup.stream_id == self.left_stream
-        other_id = self.right_stream if is_left else self.left_stream
-        out: list[StreamTuple] = []
-        key = tup.value(self.attribute)
-        for other in self._windows[other_id]:
-            if abs(other.value(self.attribute) - key) <= self.tolerance:
-                left, right = (tup, other) if is_left else (other, tup)
-                values = {f"left.{k}": v for k, v in left.values.items()}
-                values.update({f"right.{k}": v for k, v in right.values.items()})
-                out.append(
-                    StreamTuple(
-                        stream_id=f"{self.name}.out",
-                        seq=self._emit_seq,
-                        created_at=min(left.created_at, right.created_at),
-                        values=values,
-                        size=left.size + right.size,
-                    )
-                )
-                self._emit_seq += 1
-        self._windows[tup.stream_id].append(tup)
-        return out
-
     def process_batch(
         self, batch: list[StreamTuple], now: float
     ) -> list[StreamTuple]:
-        """Batch kernel: probe/insert the whole batch with pre-bound state.
+        """Probe/insert the whole batch with pre-bound state.
 
-        Expiry must run before *every* probe, exactly as the per-tuple
-        path does: ``now`` is shared across the batch, but a tuple whose
+        Expiry must run before *every* probe, not once per batch:
+        ``now`` is shared across the batch, but a tuple whose
         ``created_at`` already lies past the horizon gets inserted and
         then expired before the next probe — skipping mid-batch expiry
-        would let such stale tuples join.  The inlined check is O(1)
-        when nothing is stale, so the batch path still avoids all
-        per-tuple dispatch.
+        would let such stale tuples join, and the output would depend
+        on where the batch was cut.  The inlined check is O(1) when
+        nothing is stale.
         """
         windows = self._windows
         left_stream = self.left_stream
         right_stream = self.right_stream
         attribute = self.attribute
         tolerance = self.tolerance
-        out_stream = f"{self.name}.out"
+        out_stream = self._out_stream
         out: list[StreamTuple] = []
         append = out.append
         horizon = now - self.window

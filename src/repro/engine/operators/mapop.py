@@ -34,15 +34,9 @@ class MapOperator(Operator):
         )
         self.fn = fn
 
-    def process(self, tup: StreamTuple, now: float) -> list[StreamTuple]:
-        result = self.fn(tup)
-        if result is None:
-            return []
-        return [result]
-
     def process_batch(
         self, batch: list[StreamTuple], now: float
     ) -> list[StreamTuple]:
-        """Batch kernel: one pass of ``fn``, dropped ``None`` results."""
+        """One pass of ``fn``; ``None`` results are dropped."""
         fn = self.fn
         return [result for result in map(fn, batch) if result is not None]

@@ -38,17 +38,10 @@ class ProjectOperator(Operator):
             self.bytes_per_attribute,
         )
 
-    def process(self, tup: StreamTuple, now: float) -> list[StreamTuple]:
-        kept = [a for a in self.attributes if a in tup.values]
-        if not kept:
-            return [tup]
-        size = self.bytes_per_attribute * len(kept)
-        return [tup.project(kept, size=size)]
-
     def process_batch(
         self, batch: list[StreamTuple], now: float
     ) -> list[StreamTuple]:
-        """Batch kernel: project each tuple without per-tuple dispatch."""
+        """Project each tuple down to the kept attributes it carries."""
         attributes = self.attributes
         bytes_per_attribute = self.bytes_per_attribute
         out: list[StreamTuple] = []

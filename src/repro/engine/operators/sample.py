@@ -31,17 +31,10 @@ class SampleOperator(Operator):
         )
         self.probability = probability
 
-    def process(self, tup: StreamTuple, now: float) -> list[StreamTuple]:
-        key = f"{self.name}|{tup.stream_id}|{tup.seq}".encode()
-        draw = (zlib.crc32(key) & 0xFFFFFFFF) / 2**32
-        if draw < self.probability:
-            return [tup]
-        return []
-
     def process_batch(
         self, batch: list[StreamTuple], now: float
     ) -> list[StreamTuple]:
-        """Batch kernel: hash-draw every tuple in one comprehension."""
+        """Hash-draw every tuple in one comprehension."""
         name = self.name
         threshold = self.probability * 2**32
         crc32 = zlib.crc32

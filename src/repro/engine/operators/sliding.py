@@ -34,26 +34,10 @@ class SlidingAverageOperator(Operator):
         self._entries: deque[tuple[float, float]] = deque()  # (time, value)
         self._sum = 0.0
 
-    def _expire(self, now: float) -> None:
-        horizon = now - self.window
-        while self._entries and self._entries[0][0] < horizon:
-            __, value = self._entries.popleft()
-            self._sum -= value
-
-    def process(self, tup: StreamTuple, now: float) -> list[StreamTuple]:
-        if self.attribute not in tup.values:
-            return [tup]
-        self._expire(tup.created_at)
-        value = tup.value(self.attribute)
-        self._entries.append((tup.created_at, value))
-        self._sum += value
-        mean = self._sum / len(self._entries)
-        return [tup.with_values(**{f"{self.attribute}_avg": mean})]
-
     def process_batch(
         self, batch: list[StreamTuple], now: float
     ) -> list[StreamTuple]:
-        """Batch kernel: running-sum window maintained in a tight loop."""
+        """Running-sum window maintained in a tight loop."""
         attribute = self.attribute
         out_attr = f"{attribute}_avg"
         window = self.window

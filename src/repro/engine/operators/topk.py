@@ -44,28 +44,11 @@ class TopKOperator(Operator):
         self._heap.clear()
         return [tup for __, __, tup in winners]
 
-    def process(self, tup: StreamTuple, now: float) -> list[StreamTuple]:
-        if self.attribute not in tup.values:
-            return [tup]
-        window_index = math.floor(tup.created_at / self.window)
-        out: list[StreamTuple] = []
-        if self._current_window is None:
-            self._current_window = window_index
-        elif window_index > self._current_window:
-            out = self._flush()
-            self._current_window = window_index
-        entry = (tup.value(self.attribute), tup.seq, tup)
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, entry)
-        elif entry[0] > self._heap[0][0]:
-            heapq.heapreplace(self._heap, entry)
-        return out
-
     def process_batch(
         self, batch: list[StreamTuple], now: float
     ) -> list[StreamTuple]:
-        """Batch kernel: heap maintenance in one loop, window flushes
-        inline exactly where the per-tuple path would emit them."""
+        """Heap maintenance in one loop; a window flushes inline, at
+        the first tuple that belongs to a later one."""
         attribute = self.attribute
         window = self.window
         k = self.k

@@ -28,6 +28,7 @@ class UnionOperator(Operator):
         if len(input_streams) < 2:
             raise ValueError("union needs at least two input streams")
         self.input_streams = list(input_streams)
+        self._out_stream = f"{name}.out"
 
     def fingerprint(self) -> tuple:
         """Structural shape: the merged stream set (order-free).
@@ -37,17 +38,12 @@ class UnionOperator(Operator):
         """
         return ("union", tuple(sorted(self.input_streams)))
 
-    def process(self, tup: StreamTuple, now: float) -> list[StreamTuple]:
-        if tup.stream_id not in self.input_streams:
-            return [tup]
-        return [replace(tup, stream_id=f"{self.name}.out")]
-
     def process_batch(
         self, batch: list[StreamTuple], now: float
     ) -> list[StreamTuple]:
-        """Batch kernel: relabel matching tuples in one comprehension."""
+        """Relabel matching tuples in one comprehension."""
         streams = self.input_streams
-        out_id = f"{self.name}.out"
+        out_id = self._out_stream
         return [
             tup
             if tup.stream_id not in streams

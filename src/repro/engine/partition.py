@@ -410,16 +410,20 @@ class PartitionStageOperator(Operator):
             return self.inner.cost_per_tuple
         return self.inner.cost(original)
 
-    def process(self, tup: StreamTuple, now: float) -> list[StreamTuple]:
-        event, original = self._decode(tup)
-        if event is not None and event != self._next_event:
-            self._held[event] = original  # arrived early; hold in order
-            return []
-        out = self._run_event(original, now)
-        while self._next_event in self._held:
-            out.extend(
-                self._run_event(self._held.pop(self._next_event), now)
-            )
+    def process_batch(
+        self, batch: list[StreamTuple], now: float
+    ) -> list[StreamTuple]:
+        out: list[StreamTuple] = []
+        for tup in batch:
+            event, original = self._decode(tup)
+            if event is not None and event != self._next_event:
+                self._held[event] = original  # arrived early; hold in order
+                continue
+            out.extend(self._run_event(original, now))
+            while self._next_event in self._held:
+                out.extend(
+                    self._run_event(self._held.pop(self._next_event), now)
+                )
         return out
 
     def _run_event(
@@ -428,7 +432,7 @@ class PartitionStageOperator(Operator):
         if original.stream_id == self.flush:
             outs = self.inner.advance_window(int(original.values["window"]))
         else:
-            outs = self.inner.process(original, now)
+            outs = self.inner.process_batch([original], now)
         event = self._next_event
         self._next_event += 1
         prefix = f"{self.stage}.__p{self.index}.{event}."
@@ -538,26 +542,29 @@ class MergeStageOperator(Operator):
             return None, stream_id
         return (part, event, index), original
 
-    def process(self, tup: StreamTuple, now: float) -> list[StreamTuple]:
-        stream_id = tup.stream_id
-        if stream_id == self.sched:
-            self._sched_parts[tup.seq] = int(tup.values["partition"])
-            return self._release()
-        ack_part = self._ack_index.get(stream_id)
-        if ack_part is not None:
-            inbox = self._inboxes[ack_part]
-            inbox.counts[int(tup.values["event"])] = int(
-                tup.values["count"]
-            )
-            return self._release()
-        ids, original = self._decode(stream_id)
-        if ids is None:
-            return [tup]
-        part, event, index = ids
-        self._inboxes[part].events.setdefault(event, {})[index] = replace(
-            tup, stream_id=original
-        )
-        return self._release()
+    def process_batch(
+        self, batch: list[StreamTuple], now: float
+    ) -> list[StreamTuple]:
+        out: list[StreamTuple] = []
+        for tup in batch:
+            stream_id = tup.stream_id
+            if stream_id == self.sched:
+                self._sched_parts[tup.seq] = int(tup.values["partition"])
+            elif (ack_part := self._ack_index.get(stream_id)) is not None:
+                counts = self._inboxes[ack_part].counts
+                counts[int(tup.values["event"])] = int(tup.values["count"])
+            else:
+                ids, original = self._decode(stream_id)
+                if ids is None:
+                    out.append(tup)
+                    continue
+                part, event, index = ids
+                events = self._inboxes[part].events
+                events.setdefault(event, {})[index] = replace(
+                    tup, stream_id=original
+                )
+            out.extend(self._release())
+        return out
 
     # ------------------------------------------------------------------
     def _renumber(self, tup: StreamTuple) -> StreamTuple:
@@ -723,14 +730,17 @@ class PartitionedOperator(Operator):
             inner.name, spec.parts, group_by=group_by
         )
 
-    def process(self, tup: StreamTuple, now: float) -> list[StreamTuple]:
+    def process_batch(
+        self, batch: list[StreamTuple], now: float
+    ) -> list[StreamTuple]:
+        merge = self.merge.process_batch
         out: list[StreamTuple] = []
-        for dest, event in self.router.route(tup):
-            if dest == PartitionRouter.MERGE:
-                out.extend(self.merge.process(event, now))
-            else:
-                for produced in self.stages[dest].process(event, now):
-                    out.extend(self.merge.process(produced, now))
+        for tup in batch:
+            for dest, event in self.router.route(tup):
+                produced = [event]
+                if dest != PartitionRouter.MERGE:
+                    produced = self.stages[dest].process_batch(produced, now)
+                out.extend(merge(produced, now))
         return out
 
     def rebalance(self) -> PartitionSpec:

@@ -20,6 +20,28 @@ from repro.engine.operators.base import Operator
 from repro.streams.tuples import StreamTuple
 
 
+def pipeline_cost(operators: list[Operator]) -> float:
+    """Expected CPU seconds per input tuple of an operator pipeline.
+
+    Each operator's nominal cost is discounted by the cumulative
+    selectivity of everything upstream of it.
+    """
+    total = 0.0
+    carried = 1.0
+    for op in operators:
+        total += carried * op.cost_per_tuple
+        carried *= op.selectivity
+    return total
+
+
+def pipeline_selectivity(operators: list[Operator]) -> float:
+    """Expected output tuples per input tuple of an operator pipeline."""
+    carried = 1.0
+    for op in operators:
+        carried *= op.selectivity
+    return carried
+
+
 class QueryPlan:
     """An ordered operator pipeline for one continuous query.
 
@@ -61,19 +83,11 @@ class QueryPlan:
     # ------------------------------------------------------------------
     def cost_per_input_tuple(self) -> float:
         """Expected CPU seconds per plan-input tuple (= p_k per tuple)."""
-        total = 0.0
-        carried = 1.0
-        for op in self.operators:
-            total += carried * op.cost_per_tuple
-            carried *= op.selectivity
-        return total
+        return pipeline_cost(self.operators)
 
     def output_selectivity(self) -> float:
         """Expected output tuples per input tuple for the whole plan."""
-        carried = 1.0
-        for op in self.operators:
-            carried *= op.selectivity
-        return carried
+        return pipeline_selectivity(self.operators)
 
     def estimated_load(self, input_rate: float) -> float:
         """CPU seconds per second the plan consumes at ``input_rate``."""
@@ -141,19 +155,11 @@ class Fragment:
 
     def cost_per_input_tuple(self) -> float:
         """Expected CPU seconds per fragment-input tuple."""
-        total = 0.0
-        carried = 1.0
-        for op in self.operators:
-            total += carried * op.cost_per_tuple
-            carried *= op.selectivity
-        return total
+        return pipeline_cost(self.operators)
 
     def selectivity(self) -> float:
         """Expected outputs per input across the fragment."""
-        carried = 1.0
-        for op in self.operators:
-            carried *= op.selectivity
-        return carried
+        return pipeline_selectivity(self.operators)
 
     def estimated_load(self, input_rate: float) -> float:
         """CPU seconds/second at the given input rate."""
@@ -171,28 +177,19 @@ class Fragment:
         return len(batch) * self.cost_per_input_tuple()
 
     def run(self, tup: StreamTuple, now: float) -> list[StreamTuple]:
-        """Push one tuple through the operator slice."""
-        batch = [tup]
-        for op in self.operators:
-            next_batch: list[StreamTuple] = []
-            for item in batch:
-                next_batch.extend(op.apply(item, now))
-            if not next_batch:
-                return []
-            batch = next_batch
-        return batch
+        """Push one tuple through the operator slice: a batch of one."""
+        return self.run_batch([tup], now)
 
     def run_batch(
         self, batch: list[StreamTuple], now: float
     ) -> list[StreamTuple]:
         """Push a whole batch through the operator slice, fused.
 
-        One intermediate list per *operator stage* instead of one per
-        tuple per stage: each operator's batch kernel consumes the full
-        upstream batch in order.  Because every operator's
-        ``process_batch`` preserves the per-tuple sequence, the output
-        (and all window state evolution) is identical to running
-        :meth:`run` tuple by tuple and concatenating.
+        One intermediate list per *operator stage*: each operator's
+        kernel consumes the full upstream batch in order.  Because every
+        ``process_batch`` is cut-invariant, the output (and all window
+        state evolution) does not depend on how the caller cut the
+        tuple sequence into batches.
         """
         for op in self.operators:
             if not batch:

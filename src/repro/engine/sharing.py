@@ -70,12 +70,6 @@ class TapOperator(Operator):
     def fingerprint(self) -> tuple:
         return ("tap", self.query_id, tuple(sorted(self.rename.items())))
 
-    def process(self, tup: StreamTuple, now: float) -> list[StreamTuple]:
-        target = self.rename.get(tup.stream_id)
-        if target is None:
-            return [tup]
-        return [tup.relabel(target)]
-
     def process_batch(
         self, batch: list[StreamTuple], now: float
     ) -> list[StreamTuple]:

@@ -47,11 +47,12 @@ class DriftingFilter(Operator):
         key = f"{self.name}|{tup.stream_id}|{tup.seq}".encode()
         return (zlib.crc32(key) & 0xFFFFFFFF) / 2**32
 
-    def process(self, tup: StreamTuple, now: float) -> list[StreamTuple]:
+    def process_batch(
+        self, batch: list[StreamTuple], now: float
+    ) -> list[StreamTuple]:
         probability = min(1.0, max(0.0, self.probability_fn(now)))
-        if self._unit_hash(tup) < probability:
-            return [tup]
-        return []
+        unit_hash = self._unit_hash
+        return [tup for tup in batch if unit_hash(tup) < probability]
 
 
 def step_drift(

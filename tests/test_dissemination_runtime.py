@@ -155,41 +155,3 @@ def test_total_stats_accumulate():
     sim.run()
     assert runtime.stats.total_tuples == 10  # only entity a matches
     assert runtime.stats.total_bytes == pytest.approx(640.0)
-
-
-def test_inject_batch_matches_per_tuple_deliveries():
-    """The batch path delivers exactly what per-tuple injection does."""
-    ticks = [tick(10.0, 0), tick(70.0, 1), tick(55.0, 2), tick(40.0, 3)]
-
-    def run(batched):
-        sim, net, tree, runtime = setup()
-        deliveries = []
-        runtime.on_delivery(
-            lambda e, t: deliveries.append((e, t.seq, t.value("price")))
-        )
-        if batched:
-            runtime.inject_batch(list(ticks))
-        else:
-            for t in ticks:
-                runtime.inject(t)
-        sim.run()
-        return deliveries, runtime.stats
-
-    per_tuple, per_stats = run(batched=False)
-    batch, batch_stats = run(batched=True)
-    assert sorted(batch) == sorted(per_tuple)
-    assert batch_stats.tuples == per_stats.tuples
-    assert batch_stats.bytes == per_stats.bytes
-    assert batch_stats.filtered_edges == per_stats.filtered_edges
-    assert batch_stats.forwarded_edges == per_stats.forwarded_edges
-
-
-def test_inject_batch_empty_filter_forwards_nothing():
-    sim, net, tree, runtime = setup()
-    tree.set_interests("a", [])
-    tree.set_interests("b", [])
-    deliveries = []
-    runtime.on_delivery(lambda e, t: deliveries.append(e))
-    runtime.inject_batch([tick(10.0), tick(70.0)])
-    sim.run()
-    assert deliveries == []

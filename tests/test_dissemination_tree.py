@@ -6,6 +6,7 @@ import pytest
 
 from repro.dissemination.tree import SOURCE, DisseminationTree, TreeStructureError
 from repro.interest.predicates import StreamInterest
+from repro.streams.tuples import StreamTuple
 
 
 @pytest.fixture
@@ -94,6 +95,15 @@ def test_subtree_filter_aggregates_descendants(tree):
     # edge from a into c only needs c's interest
     assert tree.needs_tuple("c", {"price": 55})
     assert not tree.needs_tuple("c", {"price": 5})
+    # the batch kernel keeps exactly the tuples needs_tuple would, in order
+    batch = [
+        StreamTuple("s", seq, 0.0, {"price": price}, 64.0)
+        for seq, price in enumerate([5.0, 30.0, 55.0, 70.0, 8.0])
+    ]
+    for entity in ("a", "c"):
+        assert tree.filter_batch(entity, batch) == [
+            t for t in batch if tree.needs_tuple(entity, t.values)
+        ]
 
 
 def test_no_interest_below_means_no_forwarding(tree):
@@ -101,6 +111,8 @@ def test_no_interest_below_means_no_forwarding(tree):
     # b's subtree registered nothing: nothing should flow there
     assert tree.subtree_filter("b") is None
     assert not tree.needs_tuple("b", {"price": 5})
+    probe = StreamTuple("s", 0, 0.0, {"price": 5}, 64.0)
+    assert tree.filter_batch("b", [probe]) == []
 
 
 def test_wrong_stream_interest_rejected(tree):

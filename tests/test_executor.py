@@ -129,31 +129,3 @@ def test_runtime_counters(sim):
     assert runtime.tuples_in == 1
     assert runtime.tuples_out == 1
     assert runtime.busy_cost > 0
-
-
-def test_ingest_batch_matches_per_tuple_outputs(sim):
-    engine, __ = make_engine(sim)
-    fragment = make_fragment(cost=0.1)
-    batch_got = []
-    engine.install(fragment, downstream=batch_got.append)
-    batch = [tup(i) for i in range(4)]
-    engine.ingest_batch(fragment.fragment_id, batch)
-    sim.run()
-    assert batch_got == batch  # identity map: outputs in order
-
-
-def test_ingest_batch_charges_amortized_cost(sim):
-    engine, __ = make_engine(sim)
-    fragment = make_fragment(cost=0.1)
-    times = []
-    engine.install(fragment, downstream=lambda t: times.append(sim.now))
-    engine.ingest_batch(fragment.fragment_id, [tup(i) for i in range(4)])
-    sim.run()
-    # one work item of 4 * 0.1s: every output lands together at 0.4s
-    assert times == [pytest.approx(0.4)] * 4
-
-
-def test_ingest_batch_unknown_fragment_is_ignored(sim):
-    engine, __ = make_engine(sim)
-    engine.ingest_batch("nope", [tup()])
-    sim.run()  # no exception, nothing scheduled

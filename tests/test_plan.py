@@ -111,6 +111,10 @@ def test_fragment_cost_and_selectivity_compose():
     assert f0.selectivity() * f1.selectivity() == pytest.approx(
         plan.output_selectivity()
     )
+    # a batch is charged its size times the per-input expectation
+    assert f0.cost_for_batch([tup()] * 4) == pytest.approx(
+        4 * f0.cost_per_input_tuple()
+    )
 
 
 def test_fragment_run_applies_chain():
