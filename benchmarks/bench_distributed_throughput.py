@@ -8,16 +8,14 @@ across 1/2/4/8 worker OS processes connected by the binary wire
 protocol, and reports delivered tuples per wall-clock second for each.
 
 ``scaling_4workers`` — distributed-4-worker delivered TPS over the
-single-process live runtime's — is the gated metric: on a multi-core
-runner the federation must scale with the processes you give it (the
-paper's premise).  Result-set equality between the live and every
-distributed run is asserted inline, so the speedup is honest: same
-tuples delivered, same results computed, less wall time.
-
-The nightly CI job (4 vCPU) carries the scaling gate; on a single-core
-host the distributed runs pay the process/socket overhead without the
-parallelism, so local runs of ``check_regression.py`` may report this
-gate below its floor.
+single-process live runtime's — is reported, not gated: its denominator
+is the single-process leg, so the ratio falls whenever that leg gets
+faster (ISSUE 18 made it 2.4x faster and the ratio fell while every
+throughput rose).  Result-set equality between the live and every
+distributed run is asserted inline, so the numbers are honest: same
+tuples delivered, same results computed.  On a single-core host the
+distributed runs pay the process/socket overhead without the
+parallelism, and the ratios fall below 1.
 """
 
 from __future__ import annotations

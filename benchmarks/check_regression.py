@@ -71,9 +71,10 @@ def check(bench_dir: Path, baselines_path: Path) -> int:
             if current is None:
                 continue
             delta = (current - base) / base if base else 0.0
+            digits = 0 if abs(base) >= 100 else 2  # ratios ride along too
             print(
-                f"[info] {name}.{metric}: current {current:,.0f} vs "
-                f"baseline {base:,.0f} ({delta:+.1%})"
+                f"[info] {name}.{metric}: current {current:,.{digits}f} vs "
+                f"baseline {base:,.{digits}f} ({delta:+.1%})"
             )
 
     if failures:

@@ -12,15 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.wiring import (
-    Edge,
-    EntityWiring,
-    ToFragment,
-    ToPartitions,
-    ToResult,
-    ToTaps,
-    derive_wiring,
-)
+from repro.core.wiring import Edge, EntityWiring, derive_wiring
 from repro.engine.executor import LocalEngine
 from repro.engine.partition import PartitionedDeployment, plan_partitioned
 from repro.engine.plan import Fragment, QueryPlan
@@ -336,89 +328,51 @@ class Entity:
 
     def _wire(self, wiring: EntityWiring) -> None:
         """Interpret the derived wiring on the simulated cluster: every
-        fragment is installed on its processor's engine with its typed
-        out-edge turned into a network-hop closure."""
+        fragment is installed on its processor's engine, its outputs
+        carried along whatever hops its out-edge routes them to."""
         self.wiring = wiring
         for proc, fragments in wiring.fragments.items():
             for fragment_id, fragment in fragments.items():
                 self.engines[proc].install(
                     fragment,
-                    downstream=self._make_downstream(
+                    downstream=self._carry(
                         proc, wiring.downstream[proc][fragment_id]
                     ),
                 )
 
-    def _make_downstream(
-        self, proc: str, edge: Edge
-    ) -> Callable[[StreamTuple], None]:
-        """The closure carrying one fragment's outputs along ``edge``."""
-        if isinstance(edge, ToResult):
-            return self._make_result_hop(proc, edge.query_id)
-        if isinstance(edge, ToFragment):
-            return self._make_hop(proc, edge.proc, edge.fragment_id)
-        if isinstance(edge, ToTaps):
-            # the delegate routes each input tuple to the shared prefix
-            # *once*; its outputs hop to every member's tap
-            tap_hops = [
-                self._make_hop(proc, tap_proc, tap_id)
-                for tap_proc, tap_id in edge.taps
-            ]
+    def _carry(self, proc: str, edge: Edge) -> Callable[[StreamTuple], None]:
+        def downstream(tup: StreamTuple) -> None:
+            for to_proc, target, tuples in edge.route([tup]):
+                for out in tuples:
+                    self._hop(proc, to_proc, target, out)
 
-            def fan_out(tup: StreamTuple) -> None:
-                for hop in tap_hops:
-                    hop(tup)
+        return downstream
 
-            return fan_out
-        # ToPartitions: each stage input fans into one schedule control
-        # (to the merge) plus the data tuple (to its partition)
-        router = edge.router
-        hops = {
-            dest: self._make_hop(proc, to_proc, fragment_id)
-            for dest, (to_proc, fragment_id) in edge.routes.items()
-        }
+    def _hop(
+        self, from_proc: str, to_proc: str | None, target: str, tup: StreamTuple
+    ) -> None:
+        """Carry one tuple from ``from_proc`` to fragment ``target`` on
+        ``to_proc`` — inline when co-located, else over the LAN — or,
+        with ``to_proc`` ``None``, to the gateway as a result of query
+        ``target``."""
+        if to_proc == from_proc:
+            # None: the item in service when the processor died
+            engine = self.engines.get(to_proc)
+            if engine is not None:
+                engine.ingest(target, tup)
+            return
+        if to_proc is None:
+            dst, deliver = self.entity_id, lambda t: self._emit_result(target, t)
+        else:
+            dst, deliver = to_proc, lambda t: self.engines[to_proc].ingest(target, t)
+        self.network.send(
+            from_proc, dst, tup.size, payload=tup, on_delivery=deliver
+        )
 
-        def dispatch(tup: StreamTuple) -> None:
-            for dest, event in router.route(tup):
-                hops[dest](event)
-
-        return dispatch
-
-    def _make_hop(
-        self, from_proc: str, to_proc: str, fragment_id: str
-    ) -> Callable[[StreamTuple], None]:
-        engine = self.engines[to_proc]
-        if from_proc == to_proc:
-            return lambda tup: engine.ingest(fragment_id, tup)
-
-        def hop(tup: StreamTuple) -> None:
-            self.network.send(
-                from_proc,
-                to_proc,
-                tup.size,
-                payload=tup,
-                on_delivery=lambda t: engine.ingest(fragment_id, t),
-            )
-
-        return hop
-
-    def _make_result_hop(
-        self, from_proc: str, query_id: str
-    ) -> Callable[[StreamTuple], None]:
-        def emit(tup: StreamTuple) -> None:
-            def at_gateway(t: StreamTuple) -> None:
-                self.results_emitted += 1
-                if self.result_handler is not None:
-                    self.result_handler(query_id, t)
-
-            self.network.send(
-                from_proc,
-                self.entity_id,
-                tup.size,
-                payload=tup,
-                on_delivery=at_gateway,
-            )
-
-        return emit
+    def _emit_result(self, query_id: str, tup: StreamTuple) -> None:
+        self.results_emitted += 1
+        if self.result_handler is not None:
+            self.result_handler(query_id, tup)
 
     # ------------------------------------------------------------------
     # Stream intake
@@ -446,17 +400,7 @@ class Entity:
         for fragment_id, proc in self.wiring.head_routes.get(
             tup.stream_id, ()
         ):
-            if proc == delegate:
-                self.engines[proc].ingest(fragment_id, tup)
-            else:
-                engine = self.engines[proc]
-                self.network.send(
-                    delegate,
-                    proc,
-                    tup.size,
-                    payload=(fragment_id, tup),
-                    on_delivery=lambda p, e=engine: e.ingest(p[0], p[1]),
-                )
+            self._hop(delegate, proc, fragment_id, tup)
 
     # ------------------------------------------------------------------
     # Processor failure (intra-entity adaptation)

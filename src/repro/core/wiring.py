@@ -11,26 +11,36 @@ the last fragment ships results back to the gateway.
 It is a pure function of the *hosting model* — ``hosted[*].{fragments,
 chain_procs, partition, shared_group}`` plus the entity's shared
 deployments — and returns plain tables: fragments per processor, one
-typed out-edge per fragment, and the delegate head routes.  The
-simulator (:meth:`repro.core.entity.Entity.deploy`) turns each edge
-into a network-hop closure; the live runtime
-(:meth:`repro.live.runtime.LiveDataflow.rewire`) loads the tables into
-its processors.  Online changes (migration, registration, teardown,
-re-sharing, processor fail-over) never patch the tables: they edit the
-model and re-derive.
+out-edge per fragment, and the delegate head routes.
+
+The plan routes, the legs carry: every edge answers ``route(outputs)``
+with the hops those outputs take — ``(proc, target, tuples)``, ``target``
+a fragment id on ``proc`` or, with ``proc is None``, the query whose
+results they are — and a leg only carries them: the simulator a network
+send per tuple (:meth:`repro.core.entity.Entity._hop`), the live runtime
+an inline fragment run or a batched channel send
+(``LiveProcessor._deliver``; tables loaded by
+:meth:`repro.live.runtime.LiveDataflow.rewire`).  Online changes
+(migration, registration, teardown, re-sharing, processor fail-over)
+never patch the tables: they edit the model and re-derive.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.engine.partition import PartitionRouter
 from repro.engine.plan import Fragment
+from repro.streams.tuples import StreamTuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.entity import Entity
+
+
+# One hop of a fragment's outputs: ``(proc, target, tuples)``.
+Hop = tuple[str | None, str, list[StreamTuple]]
 
 
 class ToFragment(NamedTuple):
@@ -38,6 +48,10 @@ class ToFragment(NamedTuple):
 
     proc: str
     fragment_id: str
+
+    def route(self, outputs: list[StreamTuple]) -> Sequence[Hop]:
+        """One hop, to the downstream fragment."""
+        return ((self.proc, self.fragment_id, outputs),)
 
 
 class ToPartitions(NamedTuple):
@@ -47,6 +61,16 @@ class ToPartitions(NamedTuple):
     router: PartitionRouter
     routes: dict[object, tuple[str, str]]
 
+    def route(self, outputs: list[StreamTuple]) -> Sequence[Hop]:
+        """One hop per routed event, in router order (the only edge
+        that decides per tuple)."""
+        route, routes = self.router.route, self.routes
+        return [
+            (*routes[dest], [event])
+            for out in outputs
+            for dest, event in route(out)
+        ]
+
 
 class ToTaps(NamedTuple):
     """Tap fan-out: a shared prefix's outputs go to every member tap
@@ -54,11 +78,19 @@ class ToTaps(NamedTuple):
 
     taps: tuple[tuple[str, str], ...]
 
+    def route(self, outputs: list[StreamTuple]) -> Sequence[Hop]:
+        """One hop per member tap, all handed the same list."""
+        return [(proc, tap_id, outputs) for proc, tap_id in self.taps]
+
 
 class ToResult(NamedTuple):
     """Result edge: outputs are ``query_id``'s results."""
 
     query_id: str
+
+    def route(self, outputs: list[StreamTuple]) -> Sequence[Hop]:
+        """One hop, to the gateway (``proc`` ``None``)."""
+        return ((None, self.query_id, outputs),)
 
 
 Edge = ToFragment | ToPartitions | ToTaps | ToResult

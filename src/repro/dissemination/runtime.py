@@ -83,7 +83,6 @@ class DisseminationRuntime:
         *,
         early_filtering: bool = True,
         transform: bool = False,
-        bytes_per_attribute: float = 8.0,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -93,7 +92,6 @@ class DisseminationRuntime:
         # §3.1 "transforming": project tuples down to the attributes the
         # child subtree declared before crossing the edge
         self.transform = transform
-        self.bytes_per_attribute = bytes_per_attribute
         self.stats = DeliveryStats()
         self._handlers: list[DeliveryHandler] = []
         self._unsubscribe: Callable[[], None] | None = None
@@ -123,35 +121,19 @@ class DisseminationRuntime:
         self._forward(SOURCE, self.source_node_id, tup)
 
     def _forward(self, node: str, node_net_id: str, tup: StreamTuple) -> None:
-        for child in self.tree.children_of(node):
-            if self.early_filtering and not self.tree.needs_tuple(
-                child, tup.values
-            ):
-                self.stats.filtered_edges += 1
-                continue
-            payload = tup
-            if self.transform:
-                payload = self._project_for(child, tup)
-            self.stats.forwarded_edges += 1
-            self.network.send(
-                node_net_id,
-                child,
-                payload.size,
-                payload=(child, payload),
-                on_delivery=self._deliver,
-            )
-
-    def _project_for(self, child: str, tup: StreamTuple) -> StreamTuple:
-        """Shrink a tuple to the child subtree's declared attributes."""
-        needed = self.tree.subtree_attributes(child)
-        if needed is None:
-            return tup
-        kept = [name for name in tup.values if name in needed]
-        if len(kept) == len(tup.values) or not kept:
-            return tup
-        return tup.project(
-            kept, size=self.bytes_per_attribute * len(kept)
-        )
+        for child, kept in self.tree.route(
+            node, [tup], self.early_filtering, self.transform
+        ):
+            self.stats.filtered_edges += 1 - len(kept)
+            for payload in kept:
+                self.stats.forwarded_edges += 1
+                self.network.send(
+                    node_net_id,
+                    child,
+                    payload.size,
+                    payload=(child, payload),
+                    on_delivery=self._deliver,
+                )
 
     def _deliver(self, payload: tuple[str, StreamTuple]) -> None:
         entity, tup = payload

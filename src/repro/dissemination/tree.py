@@ -19,6 +19,9 @@ from repro.streams.tuples import StreamTuple
 
 SOURCE = "__source__"
 
+# Modeled wire size of one attribute of an ancestor-projected tuple.
+BYTES_PER_ATTRIBUTE = 8.0
+
 
 class TreeStructureError(RuntimeError):
     """Raised on operations that would corrupt the tree."""
@@ -277,6 +280,41 @@ class DisseminationTree:
         if match is None:
             return []
         return [tup for tup in batch if match(tup.values)]
+
+    def route(
+        self,
+        node: str,
+        run: list[StreamTuple],
+        early_filtering: bool = True,
+        transform: bool = False,
+    ) -> list[tuple[str, list[StreamTuple]]]:
+        """§3.1's edge rule: what of ``run`` crosses each of ``node``'s
+        edges, as one ``(child, tuples)`` pair per child in child order.
+
+        Early filtering keeps only what the child subtree's aggregate
+        interest needs (:meth:`filter_batch`); transforming then shrinks
+        each kept tuple to the attributes the subtree declared
+        (:meth:`transformed`).  A node outside the tree has no edges.
+        """
+        routed = []
+        for child in self._children.get(node, ()):
+            kept = self.filter_batch(child, run) if early_filtering else run
+            if transform:
+                kept = [self.transformed(child, tup) for tup in kept]
+            routed.append((child, kept))
+        return routed
+
+    def transformed(self, entity: str, tup: StreamTuple) -> StreamTuple:
+        """§3.1 "transforming": ``tup`` shrunk to what ``entity``'s
+        subtree reads — unchanged when that is everything, or when the
+        projection would keep every attribute or none."""
+        needed = self.subtree_attributes(entity)
+        if needed is None:
+            return tup
+        kept = [name for name in tup.values if name in needed]
+        if len(kept) == len(tup.values) or not kept:
+            return tup
+        return tup.project(kept, size=BYTES_PER_ATTRIBUTE * len(kept))
 
     def subtree_attributes(self, entity: str) -> set[str] | None:
         """Attributes the subtree below (and including) ``entity`` reads.

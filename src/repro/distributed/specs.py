@@ -65,14 +65,8 @@ def config_from_spec(spec: dict) -> SystemConfig:
 
 
 def settings_to_spec(settings: LiveSettings) -> dict:
-    """A :class:`LiveSettings` as a plain dict.
-
-    ``fault_injector`` is a callable and cannot cross a process
-    boundary; distributed runs don't support it and it is dropped.
-    """
-    spec = asdict(settings)
-    spec.pop("fault_injector", None)
-    return spec
+    """A :class:`LiveSettings` as a plain dict."""
+    return asdict(settings)
 
 
 def settings_from_spec(spec: dict) -> LiveSettings:

@@ -31,10 +31,6 @@ class FragmentRuntime:
     tuples_out: int = 0
     busy_cost: float = 0.0
 
-    def rewire(self, downstream: Downstream | None) -> None:
-        """Change where outputs go (used by the Adaptation Module)."""
-        self.downstream = downstream
-
 
 class LocalEngine:
     """All fragments hosted on one simulated processor."""

@@ -196,9 +196,9 @@ class QueryMigrator:
         """Wait until no tuple is in flight anywhere in the dataflow.
 
         Feeds flush their partial batches before parking at the gate,
-        and every gateway/processor flushes its batchers at the end of
+        and every gateway/processor flushes its senders at the end of
         each inbox iteration, so once all live feeds are parked and the
-        work tracker reads zero, every channel and batcher is empty.
+        work tracker reads zero, every channel and sender is empty.
         """
         spins = 0
         while True:

@@ -20,22 +20,55 @@ roles exactly:
 All planning artefacts — trees, filters, delegation, fragments,
 placements — are reused from the discrete-event planner unchanged; only
 the execution substrate differs (asyncio channels instead of simulated
-network sends).
+network sends).  The tasks decide no routing: a tree edge carries what
+:meth:`DisseminationTree.route` says crosses it, a fragment's outputs
+take the hops its out-edge routes them to (:mod:`repro.core.wiring`),
+and each destination has one :class:`~repro.live.transport.Sender`.
 """
 
 from __future__ import annotations
 
 import asyncio
 from collections import deque
+from collections.abc import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Any
 
-from repro.core.wiring import Edge, ToPartitions, ToResult, ToTaps
-from repro.dissemination.tree import SOURCE, DisseminationTree
+from repro.core.wiring import Edge, Hop
+from repro.dissemination.tree import DisseminationTree
 from repro.engine.plan import Fragment
-from repro.live.channels import Batcher, ChannelClosed, LiveChannel
+from repro.live.channels import ChannelClosed, LiveChannel
 from repro.live.metrics import LiveMetrics
-from repro.live.transport import LiveTransport, WorkTracker
+from repro.live.transport import LiveTransport, Sender, WorkTracker, flush_all
 from repro.placement.delegation import DelegationScheme
 from repro.streams.tuples import StreamTuple
+
+# In scaled (wall-paced) runs, the longest a partial source batch may
+# wait before being flushed (virtual seconds).
+BATCH_LINGER = 0.05
+
+_TARGET = itemgetter(0)  # of a processor inbox item, ``(target, tuple)``
+
+
+def _runs(keys: list, items: list) -> Sequence[tuple[Any, list]]:
+    """Cut ``items`` into maximal runs of consecutive items with equal
+    key (``keys[i]`` is ``items[i]``'s), as ``(key, run)`` pairs.  Senders
+    batch per destination and feeds per stream, so a batch is nearly
+    always one run: that case never loops in Python."""
+    first = keys[0]
+    if keys.count(first) == len(keys):
+        return ((first, items),)
+    runs = []
+    start, n = 0, len(keys)
+    while start < n:
+        first = keys[start]
+        end = start + 1
+        while end < n and keys[end] == first:
+            end += 1
+        runs.append((first, items[start:end]))
+        start = end
+    return runs
+
 
 class LiveClock:
     """The run's virtual clock, advanced by the source feeds.
@@ -193,9 +226,9 @@ class TreeForwarder:
     """Forwards tuples across one node's dissemination-tree edges.
 
     Shared by the source feeds (``node = SOURCE``) and the gateways
-    (``node = entity_id``): per child, apply the subtree's aggregate
-    filter (early filtering), optionally project down to the subtree's
-    declared attributes (transforming), batch, and send.
+    (``node = entity_id``): what crosses each child edge is the tree's
+    decision (:meth:`DisseminationTree.route` — early filtering, then
+    transforming); this class batches it and sends it.
     """
 
     def __init__(
@@ -209,7 +242,6 @@ class TreeForwarder:
         batch_size: int = 8,
         early_filtering: bool = True,
         transform: bool = False,
-        bytes_per_attribute: float = 8.0,
     ) -> None:
         self.node = node
         self.trees = trees
@@ -219,21 +251,26 @@ class TreeForwarder:
         self.batch_size = batch_size
         self.early_filtering = early_filtering
         self.transform = transform
-        self.bytes_per_attribute = bytes_per_attribute
-        self._batchers: dict[str, Batcher] = {}
+        # One per child actually sent to (trees change under a run).
+        self._senders: dict[str, Sender] = {}
 
-    def _batcher(self, child: str) -> Batcher:
-        batcher = self._batchers.get(child)
-        if batcher is None:
-            batcher = self._batchers[child] = Batcher(self.batch_size)
-        return batcher
+    def _sender(self, child: str) -> Sender:
+        sender = self._senders.get(child)
+        if sender is None:
+            sender = self._senders[child] = Sender(
+                self.channels[child], self.transport, self.batch_size
+            )
+        return sender
 
     async def forward(self, tup: StreamTuple) -> None:
-        """Relay one tuple towards every interested child subtree."""
+        """Relay one tuple towards every interested child subtree.
+
+        Deliberately a per-tuple copy of :meth:`DisseminationTree.route`'s
+        edge rule: feeds call this per tuple, and a batch of one through
+        ``route`` cost +1.5 us per source tuple (docs/performance.md §8).
+        """
         tree = self.trees.get(tup.stream_id)
         if tree is None:
-            return
-        if self.node != SOURCE and not tree.contains(self.node):
             return
         for child in tree.children_of(self.node):
             if self.early_filtering and not tree.needs_tuple(
@@ -241,13 +278,12 @@ class TreeForwarder:
             ):
                 self.metrics.filtered_edges += 1
                 continue
-            payload = tup
-            if self.transform:
-                payload = self._project_for(tree, child, tup)
+            payload = tree.transformed(child, tup) if self.transform else tup
             self.metrics.forwarded_edges += 1
-            full = self._batcher(child).add(payload)
+            sender = self._sender(child)
+            full = sender.add(payload)
             if full is not None:
-                await self.transport.send(self.channels[child], full)
+                await sender.send(full)
 
     async def forward_batch(self, batch: list[StreamTuple]) -> None:
         """Relay a whole batch without unbatching it.
@@ -257,14 +293,9 @@ class TreeForwarder:
         tuple order (and therefore everything downstream sees) is
         identical to calling :meth:`forward` per tuple.
         """
-        start, n = 0, len(batch)
-        while start < n:
-            stream_id = batch[start].stream_id
-            end = start + 1
-            while end < n and batch[end].stream_id == stream_id:
-                end += 1
-            await self._forward_run(stream_id, batch[start:end])
-            start = end
+        streams = [tup.stream_id for tup in batch]
+        for stream_id, run in _runs(streams, batch):
+            await self._forward_run(stream_id, run)
 
     async def _forward_run(
         self, stream_id: str, run: list[StreamTuple]
@@ -273,42 +304,20 @@ class TreeForwarder:
         tree = self.trees.get(stream_id)
         if tree is None:
             return
-        if self.node != SOURCE and not tree.contains(self.node):
-            return
-        for child in tree.children_of(self.node):
-            if self.early_filtering:
-                kept = tree.filter_batch(child, run)
-                self.metrics.filtered_edges += len(run) - len(kept)
-                if not kept:
-                    continue
-            else:
-                kept = run
-            if self.transform:
-                kept = [
-                    self._project_for(tree, child, tup) for tup in kept
-                ]
-            self.metrics.forwarded_edges += len(kept)
-            for full in self._batcher(child).add_many(kept):
-                await self.transport.send(self.channels[child], full)
-
-    def _project_for(
-        self, tree: DisseminationTree, child: str, tup: StreamTuple
-    ) -> StreamTuple:
-        """§3.1 "transforming": shrink to the subtree's attribute need."""
-        needed = tree.subtree_attributes(child)
-        if needed is None:
-            return tup
-        kept = [name for name in tup.values if name in needed]
-        if len(kept) == len(tup.values) or not kept:
-            return tup
-        return tup.project(kept, size=self.bytes_per_attribute * len(kept))
+        metrics = self.metrics
+        for child, kept in tree.route(
+            self.node, run, self.early_filtering, self.transform
+        ):
+            metrics.filtered_edges += len(run) - len(kept)
+            if kept:
+                metrics.forwarded_edges += len(kept)
+                sender = self._sender(child)
+                for full in sender.add_many(kept):
+                    await sender.send(full)
 
     async def flush(self) -> None:
         """Send every partial batch."""
-        for child, batcher in self._batchers.items():
-            batch = batcher.take()
-            if batch is not None:
-                await self.transport.send(self.channels[child], batch)
+        await flush_all(self._senders.values())
 
 
 class LiveSourceFeed:
@@ -322,7 +331,6 @@ class LiveSourceFeed:
         clock: LiveClock,
         metrics: LiveMetrics,
         *,
-        batch_linger: float = 0.05,
         gate: FeedGate | None = None,
     ) -> None:
         self.stream_id = stream_id
@@ -330,7 +338,6 @@ class LiveSourceFeed:
         self.forwarder = forwarder
         self.clock = clock
         self.metrics = metrics
-        self.batch_linger = batch_linger
         self.gate = gate
         # True once the trace is fully replayed; the migration protocol
         # uses it to know how many feeds can still reach the gate.
@@ -355,7 +362,7 @@ class LiveSourceFeed:
             # emission would exceed the linger bound.
             if self.clock.time_scale > 0.0 and index + 1 < len(self.trace):
                 next_t = self.trace[index + 1][0]
-                if next_t - pending_since >= self.batch_linger:
+                if next_t - pending_since >= BATCH_LINGER:
                     await self.forwarder.flush()
                     pending_since = None
         await self.forwarder.flush()
@@ -384,15 +391,14 @@ class LiveGateway:
         self.inbox = inbox
         self.forwarder = forwarder
         self.delegation = delegation
-        self.proc_channels = proc_channels
-        self.transport = transport
         self.tracker = tracker
         self.metrics = metrics
         self.clock = clock
         self.service_wall = service_wall
         self.control = TaskControl()
-        self._proc_batchers = {
-            proc: Batcher(batch_size) for proc in proc_channels
+        self._senders = {
+            proc: Sender(channel, transport, batch_size)
+            for proc, channel in proc_channels.items()
         }
         # Delegate replay buffers: per stream, the most recent tuples
         # handed to the delegation processor.  Disabled (no history)
@@ -421,7 +427,7 @@ class LiveGateway:
                 break
             await self._handle_batch(batch)
             await self.forwarder.flush()
-            await self._flush_procs()
+            await flush_all(self._senders.values())
             self.tracker.done(len(batch))
 
     async def _handle_batch(self, batch: list[StreamTuple]) -> None:
@@ -430,7 +436,7 @@ class LiveGateway:
         Deliveries are recorded in order, the whole batch is relayed to
         child entities first (the paper's cooperative duty) via
         :meth:`TreeForwarder.forward_batch`, and delegate intake is
-        appended to the per-processor batchers in arrival order.
+        appended to the per-processor senders in arrival order.
         """
         now = self.clock.now
         record = self.metrics.record_delivery
@@ -440,12 +446,12 @@ class LiveGateway:
             await asyncio.sleep(self.service_wall * len(batch))
         await self.forwarder.forward_batch(batch)
         delegate_of = self.delegation.delegate_of
-        proc_channels = self.proc_channels
+        senders = self._senders
         replay_depth = self._replay_depth
         intake: dict[str, list[tuple[None, StreamTuple]]] = {}
         for tup in batch:
             delegate = delegate_of(tup.stream_id)
-            if delegate is None or delegate not in proc_channels:
+            if delegate is None or delegate not in senders:
                 continue
             if replay_depth:
                 buf = self._recent.get(tup.stream_id)
@@ -456,14 +462,9 @@ class LiveGateway:
                 buf.append(tup)
             intake.setdefault(delegate, []).append((None, tup))
         for delegate, items in intake.items():
-            for full in self._proc_batchers[delegate].add_many(items):
-                await self.transport.send(proc_channels[delegate], full)
-
-    async def _flush_procs(self) -> None:
-        for proc, batcher in self._proc_batchers.items():
-            batch = batcher.take()
-            if batch is not None:
-                await self.transport.send(self.proc_channels[proc], batch)
+            sender = senders[delegate]
+            for full in sender.add_many(items):
+                await sender.send(full)
 
 
 class LiveProcessor:
@@ -500,9 +501,6 @@ class LiveProcessor:
         self.fragments: dict[str, Fragment] = {}
         self.downstream: dict[str, Edge] = {}
         self.head_routes = head_routes
-        self.proc_channels = proc_channels
-        self.result_channel = result_channel
-        self.transport = transport
         self.tracker = tracker
         self.metrics = metrics
         self.clock = clock
@@ -511,12 +509,14 @@ class LiveProcessor:
         # weighted-fair token buckets).  None — the default — keeps the
         # delegate-routing hot path allocation- and branch-free.
         self.throttle = throttle
-        self._proc_batchers = {
-            proc: Batcher(batch_size)
-            for proc in proc_channels
+        # One per destination: the entity's other processors and, under
+        # ``None`` (where result hops go), the result channel.
+        self._senders: dict[str | None, Sender] = {
+            proc: Sender(channel, transport, batch_size)
+            for proc, channel in proc_channels.items()
             if proc != proc_id
         }
-        self._result_batcher = Batcher(batch_size)
+        self._senders[None] = Sender(result_channel, transport, batch_size)
 
     async def run(self) -> None:
         """Consume the processor inbox until the runtime closes it (or
@@ -529,7 +529,7 @@ class LiveProcessor:
             except ChannelClosed:
                 break
             await self._execute_batch(batch)
-            await self._flush()
+            await flush_all(self._senders.values())
             self.tracker.done(len(batch))
 
     async def _execute_batch(
@@ -542,47 +542,33 @@ class LiveProcessor:
         fragment pipeline as one batch; each fragment still consumes its
         tuples in exactly the arrival order.
         """
-        start, n = 0, len(items)
-        while start < n:
-            fragment_id = items[start][0]
-            end = start + 1
-            while end < n and items[end][0] == fragment_id:
-                end += 1
-            run = [tup for __, tup in items[start:end]]
+        targets = list(map(_TARGET, items))
+        for fragment_id, run in _runs(targets, items):
+            tuples = [tup for __, tup in run]
             if fragment_id is None:
-                await self._intake_batch(run)
+                await self._intake_batch(tuples)
             else:
-                await self._run_fragment_batch(fragment_id, run)
-            start = end
+                await self._deliver([(self.proc_id, fragment_id, tuples)])
 
     async def _intake_batch(self, run: list[StreamTuple]) -> None:
         """Delegate-route a batch of raw stream tuples to head fragments."""
-        start, n = 0, len(run)
-        while start < n:
-            stream_id = run[start].stream_id
-            end = start + 1
-            while end < n and run[end].stream_id == stream_id:
-                end += 1
-            sub = run[start:end]
-            for fragment_id, proc in self.head_routes.get(stream_id, []):
-                admitted = (
-                    sub
-                    if self.throttle is None
-                    else self.throttle.admit(
-                        fragment_id, sub, self.clock.now
-                    )
-                )
-                if not admitted:
-                    continue
-                if proc == self.proc_id:
-                    await self._run_fragment_batch(fragment_id, admitted)
-                else:
-                    items = [(fragment_id, tup) for tup in admitted]
-                    for full in self._proc_batchers[proc].add_many(items):
-                        await self.transport.send(
-                            self.proc_channels[proc], full
-                        )
-            start = end
+        streams = [tup.stream_id for tup in run]
+        for stream_id, sub in _runs(streams, run):
+            await self._deliver(self._head_hops(stream_id, sub))
+
+    def _head_hops(self, stream_id: str, sub: list[StreamTuple]) -> Iterator[Hop]:
+        """One hop per head fragment consuming the stream — lazily, so
+        that under quotas a head is admitted when its turn comes,
+        against the clock as it stands then."""
+        throttle = self.throttle
+        for head, proc in self.head_routes.get(stream_id, ()):
+            admitted = (
+                sub
+                if throttle is None
+                else throttle.admit(head, sub, self.clock.now)
+            )
+            if admitted:
+                yield proc, head, admitted
 
     def _record_busy(self, fragment: Fragment, cost: float) -> None:
         """Account fragment CPU, splitting a shared prefix fragment's
@@ -598,91 +584,28 @@ class LiveProcessor:
             self.entity_id, cost, query_id=fragment.query_id
         )
 
-    async def _run_fragment_batch(
-        self, fragment_id: str, batch: list[StreamTuple]
-    ) -> None:
-        """Run a batch through one fragment's fused pipeline and route
-        the outputs downstream as a batch."""
-        fragment = self.fragments.get(fragment_id)
-        if fragment is None:
-            return
-        self._record_busy(fragment, fragment.cost_for_batch(batch))
-        outputs = fragment.run_batch(batch, self.clock.now)
-        if not outputs:
-            return
-        edge = self.downstream[fragment_id]
-        kind = type(edge)
-        if kind is ToTaps:
-            await self._fan_to_taps_batch(edge.taps, outputs)
-            return
-        if kind is ToResult:
-            query_id = edge.query_id
-            items = [(query_id, out) for out in outputs]
-            for full in self._result_batcher.add_many(items):
-                await self.transport.send(self.result_channel, full)
-            return
-        if kind is ToPartitions:
-            await self._route_partitions(edge.router, edge.routes, outputs)
-            return
-        proc_id, next_fragment_id = edge
-        if proc_id == self.proc_id:
-            await self._run_fragment_batch(next_fragment_id, outputs)
-            return
-        items = [(next_fragment_id, out) for out in outputs]
-        for full in self._proc_batchers[proc_id].add_many(items):
-            await self.transport.send(self.proc_channels[proc_id], full)
+    async def _deliver(self, hops: Iterable[Hop]) -> None:
+        """Carry each ``(proc, target, tuples)`` hop in turn.
 
-    async def _fan_to_taps_batch(
-        self, taps: tuple, outputs: list[StreamTuple]
-    ) -> None:
-        """Fan a shared prefix's outputs to every member tap.
-
-        Tuples are immutable, so the same output batch is handed to each
-        tap; local taps run inline, remote ones ride the per-processor
-        batchers (per-link order preserved).
+        Bound for another processor (or, ``proc`` ``None``, the results
+        of query ``target``), the tuples ride that destination's sender.
+        A fragment of this processor runs inline, and the hops its
+        out-edge routes the outputs to are delivered before the next.
         """
-        for proc_id, tap_id in taps:
-            if proc_id == self.proc_id:
-                await self._run_fragment_batch(tap_id, outputs)
-            else:
-                items = [(tap_id, out) for out in outputs]
-                for full in self._proc_batchers[proc_id].add_many(items):
-                    await self.transport.send(self.proc_channels[proc_id], full)
-
-    async def _route_partitions(
-        self, router, routes: dict, outputs: list[StreamTuple]
-    ) -> None:
-        """Fan a pre-stage fragment's outputs across partition fragments.
-
-        The router turns every output into sequenced partition events
-        plus merge-bound schedule controls; each goes to the processor
-        hosting the destination fragment.  Local destinations execute
-        inline, remote ones ride the per-processor batchers — per-link
-        order is preserved either way, and the merge protocol tolerates
-        any cross-link interleaving.
-        """
-        for out in outputs:
-            for dest, event in router.route(out):
-                proc_id, fragment_id = routes[dest]
-                if proc_id == self.proc_id:
-                    await self._run_fragment_batch(fragment_id, [event])
-                else:
-                    full = self._proc_batchers[proc_id].add(
-                        (fragment_id, event)
-                    )
-                    if full is not None:
-                        await self.transport.send(
-                            self.proc_channels[proc_id], full
-                        )
-
-    async def _flush(self) -> None:
-        for proc, batcher in self._proc_batchers.items():
-            batch = batcher.take()
-            if batch is not None:
-                await self.transport.send(self.proc_channels[proc], batch)
-        batch = self._result_batcher.take()
-        if batch is not None:
-            await self.transport.send(self.result_channel, batch)
+        proc_id = self.proc_id
+        for proc, target, tuples in hops:
+            if proc != proc_id:
+                sender = self._senders[proc]
+                for full in sender.add_many([(target, tup) for tup in tuples]):
+                    await sender.send(full)
+                continue
+            fragment = self.fragments.get(target)
+            if fragment is None:
+                continue
+            self._record_busy(fragment, fragment.cost_for_batch(tuples))
+            outputs = fragment.run_batch(tuples, self.clock.now)
+            if outputs:
+                await self._deliver(self.downstream[target].route(outputs))
 
 
 class ResultCollector:

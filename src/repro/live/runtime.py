@@ -49,13 +49,16 @@ from repro.live.entity_task import (
     TreeForwarder,
 )
 from repro.live.metrics import LiveMetrics, LiveReport, TransportStats
-from repro.live.transport import FaultInjector, LiveTransport, WorkTracker
+from repro.live.transport import LiveTransport, WorkTracker
 from repro.query.spec import QuerySpec
 from repro.streams.catalog import StreamCatalog
 from repro.streams.tuples import StreamTuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.control.quotas import TenantThrottle
+
+# Bound on the run's one result channel (queued batches).
+RESULT_CAPACITY = 1024
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,6 @@ class LiveSettings:
         channel_capacity: Bound on queued batches per entity/processor
             channel — the backpressure knob.
         batch_size: Tuples per transport batch.
-        batch_linger: In scaled runs, the longest a partial source
-            batch may wait before being flushed (virtual seconds).
         wan_latency / lan_latency: Modeled per-hop delivery latency in
             virtual seconds (scaled by ``time_scale`` into wall time;
             defaults match the simulated network's tier constants).
@@ -83,16 +84,12 @@ class LiveSettings:
             retry backoff schedule (wall seconds, seeded jitter).
         gateway_service_wall: Wall seconds of gateway work per tuple —
             models slow entities (used to exercise backpressure).
-        result_capacity: Bound on the shared result channel.
-        fault_injector: Optional hook failing chosen send attempts
-            (``f(channel_name, attempt) -> bool``), for tests.
     """
 
     duration: float = 5.0
     time_scale: float = 0.0
     channel_capacity: int = 256
     batch_size: int = 8
-    batch_linger: float = 0.05
     wan_latency: float = 0.010
     lan_latency: float = 0.0005
     send_timeout: float = 0.25
@@ -101,14 +98,12 @@ class LiveSettings:
     backoff_factor: float = 2.0
     backoff_max: float = 0.25
     gateway_service_wall: float = 0.0
-    result_capacity: int = 1024
-    fault_injector: FaultInjector | None = None
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        if self.channel_capacity < 1 or self.result_capacity < 1:
-            raise ValueError("channel capacities must be >= 1")
+        if self.channel_capacity < 1:
+            raise ValueError("channel_capacity must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_retries < 0:
@@ -432,7 +427,6 @@ class LiveRuntime:
             backoff_base=settings.backoff_base,
             backoff_factor=settings.backoff_factor,
             backoff_max=settings.backoff_max,
-            fault_injector=settings.fault_injector,
         )
 
         wan_wall = settings.wan_latency * settings.time_scale
@@ -467,7 +461,7 @@ class LiveRuntime:
             }
         result_channel = LiveChannel(
             "results",
-            capacity=settings.result_capacity,
+            capacity=RESULT_CAPACITY,
             tier=LAN,
             latency=0.0,
         )
@@ -555,7 +549,6 @@ class LiveRuntime:
                 ),
                 clock,
                 self.metrics,
-                batch_linger=settings.batch_linger,
             )
             for stream_id, trace in traces.items()
             if stream_id in trees and strategy.owns_stream(stream_id)

@@ -6,7 +6,7 @@ tries the channel synchronously (``try_put``): with room — the common
 case — the batch is enqueued on the spot and the sender yields to the
 loop exactly once; no task, timer or lock is involved.  Only a *full*
 channel is waited on, under ``asyncio.timeout``; a timed-out (or
-fault-injected) attempt backs off exponentially — with seeded jitter so
+chaos-failed) attempt backs off exponentially — with seeded jitter so
 runs are reproducible — and retries up to a budget.  A send that
 exhausts its budget *drops the batch and returns*: drops surface as
 metrics on the run report, never as exceptions in the dataflow.  Because
@@ -23,21 +23,18 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import Callable
+from collections.abc import Awaitable, Iterable
 
-from repro.live.channels import ChannelClosed, LiveChannel
+from repro.live.channels import Batcher, ChannelClosed, LiveChannel
 from repro.live.metrics import TransportStats
-
-# fault_injector(channel_name, attempt_index) -> True forces the attempt
-# to fail (test hook for exercising the retry/backoff/drop path).
-FaultInjector = Callable[[str, int], bool]
 
 
 class TransportChaos:
     """Interface the chaos layer implements to disturb sends.
 
     ``fail`` is consulted per attempt (a partitioned link fails every
-    attempt until the partition heals); ``delay`` returns extra wire
+    attempt until the partition heals; tests subclass it to exercise the
+    retry/backoff/drop path); ``delay`` returns extra wire
     latency in seconds, applied before the put attempt (a latency
     spike).  The live transport works unchanged when no policy is
     installed.
@@ -99,7 +96,6 @@ class LiveTransport:
         max_retries: Re-attempts after the first failed put.
         backoff_base / backoff_factor / backoff_max: Exponential
             backoff schedule in wall seconds.
-        fault_injector: Optional test hook failing chosen attempts.
     """
 
     def __init__(
@@ -113,7 +109,6 @@ class LiveTransport:
         backoff_base: float = 0.005,
         backoff_factor: float = 2.0,
         backoff_max: float = 0.25,
-        fault_injector: FaultInjector | None = None,
     ) -> None:
         self.stats = stats
         self.tracker = tracker
@@ -123,7 +118,6 @@ class LiveTransport:
         self.backoff_base = backoff_base
         self.backoff_factor = backoff_factor
         self.backoff_max = backoff_max
-        self.fault_injector = fault_injector
         # Installed by the chaos harness; None in normal runs.
         self.chaos: TransportChaos | None = None
 
@@ -147,12 +141,8 @@ class LiveTransport:
         count = len(batch)
         self.tracker.add(count)
         for attempt in range(self.max_retries + 1):
-            failed = (
-                self.fault_injector is not None
-                and self.fault_injector(channel.name, attempt)
-            ) or (
-                self.chaos is not None
-                and self.chaos.fail(channel.name, attempt)
+            failed = self.chaos is not None and self.chaos.fail(
+                channel.name, attempt
             )
             if not failed:
                 if self.chaos is not None:
@@ -181,3 +171,29 @@ class LiveTransport:
         self.stats.dropped_tuples += count
         self.tracker.done(count)
         return False
+
+
+class Sender(Batcher):
+    """One destination's batcher, bound to its channel and transport;
+    tasks send through these, never through the transport directly.
+    Filling stays synchronous (``add`` / ``add_many`` hand back what
+    filled), so a hand-off that fills nothing costs no coroutine."""
+
+    def __init__(
+        self, channel: LiveChannel, transport: LiveTransport, batch_size: int
+    ) -> None:
+        super().__init__(batch_size)
+        self.channel = channel
+        self.transport = transport
+
+    def send(self, batch: list) -> Awaitable[bool]:
+        """Send one batch now (the transport's own coroutine)."""
+        return self.transport.send(self.channel, batch)
+
+
+async def flush_all(senders: Iterable[Sender]) -> None:
+    """Send every partial batch, sender by sender."""
+    for sender in senders:
+        batch = sender.take()
+        if batch is not None:
+            await sender.send(batch)

@@ -106,6 +106,62 @@ def test_subtree_filter_aggregates_descendants(tree):
         ]
 
 
+def test_route_is_filter_then_projection_per_child(tree):
+    """``route`` ≡ per child ``[project(t) for t in run if needs_tuple]``,
+    over early filtering x transforming, for every edge of the tree."""
+    tree.set_interests("a", [StreamInterest.on("s", price=(0, 10))])
+    tree.set_interests("c", [StreamInterest.on("s", price=(50, 60))])
+    tree.set_required_attributes("a", {"price"})
+    tree.set_required_attributes("c", {"price", "volume"})
+    tree.set_required_attributes("d", {"symbol"})  # d needs no tuple at all
+    run = [
+        StreamTuple("s", seq, 0.0, {"price": price, "volume": 1.0, "x": 2.0}, 64.0)
+        for seq, price in enumerate([5.0, 30.0, 55.0, 70.0, 8.0])
+    ]
+
+    def project(child, tup):
+        needed = tree.subtree_attributes(child)
+        if needed is None:
+            return tup
+        kept = [name for name in tup.values if name in needed]
+        if not kept or len(kept) == len(tup.values):
+            return tup
+        return tup.project(kept, size=8.0 * len(kept))
+
+    for early in (False, True):
+        for transform in (False, True):
+            for node in (SOURCE, "a", "c", "not-in-the-tree"):
+                assert tree.route(node, run, early, transform) == [
+                    (
+                        child,
+                        [
+                            project(child, t) if transform else t
+                            for t in run
+                            if not early or tree.needs_tuple(child, t.values)
+                        ],
+                    )
+                    for child in tree.children_of(node)
+                ]
+    # the cases by name: b's subtree needs nothing; a's edge projects to
+    # its subtree's {price, volume}; d's {symbol} would keep nothing, so
+    # the tuple crosses unchanged — as it does when nothing would go
+    routed = dict(tree.route(SOURCE, run, True, True))
+    assert routed["b"] == []
+    assert [t.values for t in routed["a"]] == [
+        {"price": p, "volume": 1.0} for p in (5.0, 55.0, 8.0)
+    ]
+    assert {t.size for t in routed["a"]} == {16.0}
+    assert dict(tree.route("a", run, False, True))["d"] == run
+    narrow = [StreamTuple("s", 9, 0.0, {"price": 5.0, "volume": 1.0}, 64.0)]
+    assert dict(tree.route(SOURCE, narrow, True, True))["a"] == narrow
+    # some query below reads everything: no projection on the way there
+    tree.set_required_attributes("c", None)
+    assert tree.subtree_attributes("a") is None
+    assert dict(tree.route(SOURCE, run, True, True))["a"] == [
+        run[0], run[2], run[4]
+    ]
+
+
 def test_no_interest_below_means_no_forwarding(tree):
     tree.set_interests("a", [StreamInterest.on("s", price=(0, 10))])
     # b's subtree registered nothing: nothing should flow there

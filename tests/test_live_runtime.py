@@ -13,7 +13,12 @@ import pytest
 from repro.cli import main
 from repro.core.system import FederatedSystem, SystemConfig
 from repro.interest.predicates import StreamInterest
-from repro.live import LiveRuntime, LiveSettings
+from repro.live import (
+    LiveRuntime,
+    LiveSettings,
+    RuntimeService,
+    TransportChaos,
+)
 from repro.monitoring.reports import LoadReport, SubtreeLoad
 from repro.query.spec import QuerySpec
 from repro.streams.catalog import stock_catalog
@@ -54,9 +59,25 @@ def filter_queries():
     return specs
 
 
-def run_live(settings, *, seed=11, entities=4, queries=None, rate=40.0):
+class FailSends(TransportChaos, RuntimeService):
+    """Fails the send attempts ``rule(channel_name, attempt)`` picks."""
+
+    def __init__(self, rule):
+        self.fail = rule
+
+    def start(self, flow):
+        flow.transport.chaos = self
+        return []
+
+
+def run_live(
+    settings, *, seed=11, entities=4, queries=None, rate=40.0, services=()
+):
     runtime = LiveRuntime(
-        make_catalog(rate), make_config(seed, entities), settings
+        make_catalog(rate),
+        make_config(seed, entities),
+        settings,
+        services=services,
     )
     runtime.submit(queries or filter_queries())
     return runtime, runtime.run()
@@ -137,12 +158,8 @@ def test_injected_transient_failures_are_retried():
         return False
 
     __, report = run_live(
-        LiveSettings(
-            duration=1.0,
-            backoff_base=0.0001,
-            backoff_max=0.001,
-            fault_injector=fail_first_attempt,
-        )
+        LiveSettings(duration=1.0, backoff_base=0.0001, backoff_max=0.001),
+        services=[FailSends(fail_first_attempt)],
     )
     assert failed  # the injector actually fired
     assert report.retries > 0
@@ -151,21 +168,23 @@ def test_injected_transient_failures_are_retried():
 
 
 def test_permanent_failures_surface_as_drops_not_exceptions():
-    runtime = LiveRuntime(make_catalog(), make_config())
-    runtime.submit(filter_queries())
-    victim = runtime.planner.allocation_result.assignment["q0"]
-
     def black_hole(name, attempt):
         return name == f"inbox/{victim}"
 
-    runtime.settings = LiveSettings(
-        duration=1.0,
-        max_retries=1,
-        backoff_base=0.0001,
-        backoff_max=0.001,
-        send_timeout=0.01,
-        fault_injector=black_hole,
+    runtime = LiveRuntime(
+        make_catalog(),
+        make_config(),
+        LiveSettings(
+            duration=1.0,
+            max_retries=1,
+            backoff_base=0.0001,
+            backoff_max=0.001,
+            send_timeout=0.01,
+        ),
+        services=[FailSends(black_hole)],
     )
+    runtime.submit(filter_queries())
+    victim = runtime.planner.allocation_result.assignment["q0"]
     report = runtime.run()
     assert report.dropped_tuples > 0
     assert report.dropped_batches > 0

@@ -15,7 +15,13 @@ from repro.live.channels import LiveChannel
 from repro.live.chaos import VirtualClockLoop
 from repro.live.entity_task import LiveClock
 from repro.live.metrics import TransportStats
-from repro.live.transport import LiveTransport, WorkTracker
+from repro.live.transport import (
+    LiveTransport,
+    Sender,
+    TransportChaos,
+    WorkTracker,
+    flush_all,
+)
 
 
 def run(coro):
@@ -23,7 +29,14 @@ def run(coro):
         return runner.run(coro)
 
 
-def make_transport(**overrides):
+class FailSends(TransportChaos):
+    """Fails the send attempts ``rule(channel_name, attempt)`` picks."""
+
+    def __init__(self, rule):
+        self.fail = rule
+
+
+def make_transport(chaos=None, **overrides):
     defaults = dict(
         stats=TransportStats(),
         tracker=WorkTracker(),
@@ -35,7 +48,9 @@ def make_transport(**overrides):
         backoff_max=0.01,
     )
     defaults.update(overrides)
-    return LiveTransport(**defaults)
+    transport = LiveTransport(**defaults)
+    transport.chaos = chaos
+    return transport
 
 
 def count_loop_work(monkeypatch) -> dict[str, int]:
@@ -213,9 +228,7 @@ def test_fault_injector_forces_retries():
         return attempt < 2
 
     async def main():
-        transport = make_transport(
-            max_retries=4, fault_injector=fail_first_two
-        )
+        transport = make_transport(FailSends(fail_first_two), max_retries=4)
         ch = LiveChannel("wan/x", capacity=4)
         return await transport.send(ch, ["t"])
 
@@ -226,7 +239,7 @@ def test_fault_injector_forces_retries():
 def test_fault_injector_permanent_failure_drops():
     async def main():
         transport = make_transport(
-            max_retries=3, fault_injector=lambda name, attempt: True
+            FailSends(lambda name, attempt: True), max_retries=3
         )
         ch = LiveChannel("t", capacity=4)
         ok = await transport.send(ch, ["a"])
@@ -260,6 +273,83 @@ def test_backoff_schedule_is_capped_and_grows():
     delays = [transport.backoff_delay(a) for a in range(6)]
     assert all(d <= 0.05 for d in delays)
     assert delays[1] > delays[0]  # grows before the cap bites
+
+
+# ----------------------------------------------------------------------
+# Sender: a destination's batcher, channel and transport in one
+# ----------------------------------------------------------------------
+async def fill(sender, items):
+    """What every task does with ``add_many``: send what filled."""
+    for full in sender.add_many(items):
+        await sender.send(full)
+
+
+def test_sender_below_its_bound_sends_only_on_flush_and_only_once():
+    async def main():
+        transport = make_transport()
+        ch = LiveChannel("t", capacity=8)
+        sender = Sender(ch, transport, batch_size=4)
+        await fill(sender, ["a", "b", "c"])
+        assert ch.depth == 0 and transport.stats.batches_sent == 0
+        assert transport.tracker.in_flight == 0  # nothing sent, nothing owed
+        await flush_all([sender])
+        assert ch.depth == 1 and sender.pending == 0
+        sent, in_flight = transport.stats.batches_sent, transport.tracker.in_flight
+        await flush_all([sender])  # nothing pending: no send, tracker untouched
+        assert (transport.stats.batches_sent, transport.tracker.in_flight) == (
+            sent,
+            in_flight,
+        )
+        return await ch.get(), sent, in_flight
+
+    assert run(main()) == (["a", "b", "c"], 1, 3)
+
+
+def test_senders_keep_per_destination_order_across_add_fill_and_flush():
+    async def main():
+        transport = make_transport()
+        channels = [LiveChannel(name, capacity=8) for name in ("x", "y")]
+        senders = [Sender(ch, transport, batch_size=3) for ch in channels]
+        for sender, tag in zip(senders, "xy"):
+            full = sender.add(f"{tag}0")
+            assert full is None
+            await fill(sender, [f"{tag}{i}" for i in range(1, 6)])
+            full = sender.add(f"{tag}6")
+            assert full is None  # 0..2 went, 3..5 went, 6 pending
+        await flush_all(senders)
+        received = []
+        for ch in channels:
+            batches = [await ch.get() for __ in range(ch.depth)]
+            received.append(batches)
+        return received, transport
+
+    received, transport = run(main())
+    for tag, batches in zip("xy", received):
+        assert batches == [
+            [f"{tag}0", f"{tag}1", f"{tag}2"],
+            [f"{tag}3", f"{tag}4", f"{tag}5"],
+            [f"{tag}6"],
+        ]
+    assert transport.stats.batches_sent == 6
+    assert transport.stats.tuples_sent == 14
+
+
+def test_sender_whose_send_drops_is_left_empty_with_the_tracker_balanced():
+    async def main():
+        transport = make_transport(
+            FailSends(lambda name, attempt: True), max_retries=1
+        )
+        ch = LiveChannel("t", capacity=8)
+        sender = Sender(ch, transport, batch_size=2)
+        await fill(sender, ["a", "b", "c"])  # the full batch drops
+        await flush_all([sender])  # and so does the flushed rest
+        return transport, ch, sender
+
+    transport, ch, sender = run(main())
+    assert sender.pending == 0 and ch.depth == 0
+    assert transport.stats.dropped_batches == 2
+    assert transport.stats.dropped_tuples == 3
+    assert transport.tracker.in_flight == 0
 
 
 def test_work_tracker_quiescence():

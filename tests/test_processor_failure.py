@@ -40,6 +40,27 @@ def test_results_continue_after_processor_failure(stocks):
     assert len(results) > before
 
 
+def test_output_of_the_item_in_service_at_the_crash_is_dropped(stocks):
+    """A dead processor still finishes the item it was serving; the
+    co-located hop of that item's outputs must find no engine, not raise."""
+    sim, net, entity = build_entity(stocks, procs=3)
+    entity.host(spec(stocks, "q0", lo=0, hi=1000))
+    entity.deploy()
+    results = []
+    entity.result_handler = lambda qid, tup: results.append(qid)
+    source = StreamSource(sim, stocks.schemas()[0], poisson=False)
+    probe = []
+    source.subscribe(probe.append)
+    source.start()
+    sim.run(until=0.1)
+    victim = entity.hosted["q0"].chain_procs[0]
+    head = entity.hosted["q0"].fragments[0].fragment_id
+    entity.processor_failed(victim)
+    entity._hop(victim, victim, head, probe[0])
+    sim.run(until=0.2)
+    assert results == []
+
+
 def test_delegation_avoids_dead_processor(stocks):
     sim, net, entity = build_entity(stocks, procs=3)
     entity.host(spec(stocks, "q0"))

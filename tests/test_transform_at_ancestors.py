@@ -112,7 +112,7 @@ def run_chain(transform):
     tree.set_required_attributes("a", {"price"})
     tree.set_required_attributes("b", {"price"})
     runtime = DisseminationRuntime(
-        sim, net, tree, "src", transform=transform, bytes_per_attribute=8.0
+        sim, net, tree, "src", transform=transform
     )
     got = []
     runtime.on_delivery(lambda e, t: got.append((e, t)))

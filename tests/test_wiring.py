@@ -5,13 +5,24 @@ the simulator and the live runtime must both be wired from exactly that
 value, for every edge kind at once — a plain chain, a partition-parallel
 query and a shared group in one federation — and the ``wiring`` audit
 must notice a model edit that was not followed by a re-derivation.
+
+The plan routes, the legs carry: every edge kind's ``route`` is pinned
+as a table of exact hops, the sim's ``_hop`` and the live ``_deliver``
+must carry the same hops in the same order, and no module but
+``core/wiring.py`` may name an edge kind.
 """
 
 from __future__ import annotations
 
+import ast
+import asyncio
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.analysis.invariants import audit_federation
+from repro.core.entity import Entity
 from repro.core.system import SystemConfig
 from repro.core.wiring import (
     ToFragment,
@@ -20,10 +31,14 @@ from repro.core.wiring import (
     ToTaps,
     derive_wiring,
 )
+from repro.engine.partition import PartitionRouter, plan_partitioned
 from repro.interest.predicates import StreamInterest
-from repro.live import LiveRuntime, LiveSettings
+from repro.live import LiveProcessor, LiveRuntime, LiveSettings
 from repro.query.spec import AggregateSpec, QuerySpec
+from repro.simulation.network import Network, NetworkNode
+from repro.simulation.simulator import Simulator
 from repro.streams.catalog import stock_catalog
+from repro.streams.tuples import StreamTuple
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +131,239 @@ def test_audit_flags_a_model_edit_without_rederivation(runtime):
     finally:
         hosted.chain_procs = placed
         flow.rewire(entity)
+
+
+# ----------------------------------------------------------------------
+# Edge.route, as tables
+# ----------------------------------------------------------------------
+EDGE_KINDS = ("ToFragment", "ToPartitions", "ToTaps", "ToResult")
+
+
+def trade(seq, at, symbol=1.0):
+    return StreamTuple(
+        "exchange-0.trades",
+        seq,
+        at,
+        {"symbol": symbol, "price": 100.0 + seq, "volume": 10.0},
+        48.0,
+    )
+
+
+def fresh_router():
+    """The router of a 2-way partitioned grouped aggregate (window 0.25)."""
+    spec = QuerySpec(
+        query_id="agg",
+        interests=(StreamInterest.on("exchange-0.trades", price=(1.0, 990.0)),),
+        aggregate=AggregateSpec(
+            attribute="price", fn="sum", window=0.25, group_by="symbol"
+        ),
+    )
+    plan = spec.build_plan(stock_catalog(exchanges=1))
+    return plan_partitioned(plan, 2).router
+
+
+PARTITION_ROUTES = {
+    0: ("a", "agg#p0"),
+    1: ("b", "agg#p1"),
+    PartitionRouter.MERGE: ("b", "agg#merge"),
+}
+# the third tuple opens the next window: a flush reaches every
+# partition, announced to the merge
+PARTITION_OUTPUTS = [
+    trade(0, 0.05, 1.0),
+    trade(1, 0.10, 2.0),
+    trade(2, 0.30, 1.0),
+]
+
+
+def test_one_hop_edges_route_the_output_list_itself():
+    outputs = [trade(0, 0.0), trade(1, 0.1)]
+    for edge, hop in (
+        (ToFragment("b", "q#f1"), ("b", "q#f1", outputs)),
+        (ToResult("q"), (None, "q", outputs)),
+    ):
+        hops = list(edge.route(outputs))
+        assert hops == [hop]
+        assert hops[0][2] is outputs
+
+
+def test_tap_edge_routes_one_hop_per_member_with_the_same_list():
+    outputs = [trade(0, 0.0), trade(1, 0.1)]
+    taps = (("a", "q0#tap"), ("b", "q1#tap"), ("a", "q2#tap"))
+    hops = list(ToTaps(taps).route(outputs))
+    assert hops == [(proc, tap, outputs) for proc, tap in taps]
+    assert all(hop[2] is outputs for hop in hops)
+
+
+def test_partition_edge_routes_one_hop_per_event_in_router_order():
+    edge = ToPartitions(fresh_router(), PARTITION_ROUTES)
+    reference = fresh_router()
+    expected = [
+        (dest, event)
+        for out in PARTITION_OUTPUTS
+        for dest, event in reference.route(out)
+    ]
+    hops = list(edge.route(PARTITION_OUTPUTS))
+    assert hops == [
+        (*PARTITION_ROUTES[dest], [event]) for dest, event in expected
+    ]
+    # the window boundary fanned a flush to every partition + the merge
+    boundary = [
+        dest
+        for dest, event in expected
+        if event.created_at == PARTITION_OUTPUTS[2].created_at
+    ]
+    assert set(boundary) == set(PARTITION_ROUTES)
+    assert len(boundary) > 2  # more than "one control + one data tuple"
+
+
+# ----------------------------------------------------------------------
+# The two legs carry the same hops
+# ----------------------------------------------------------------------
+class StubFragment:
+    """``run_batch`` returns what the test scripted (default: nothing)
+    and logs what arrived."""
+
+    query_id = "q"
+
+    def __init__(self, fragment_id, log, proc, outputs=()):
+        self.fragment_id = fragment_id
+        self.log, self.proc, self.outputs = log, proc, list(outputs)
+
+    def cost_for_batch(self, batch):
+        return 0.0
+
+    def run_batch(self, batch, now):
+        self.log.extend((self.proc, self.fragment_id, tup) for tup in batch)
+        return self.outputs
+
+
+class RecordingSender:
+    """Stands in for a ``Sender``: logs every item, never fills."""
+
+    def __init__(self, proc, log):
+        self.proc, self.log = proc, log
+
+    def add_many(self, items):
+        self.log.extend((self.proc, target, tup) for target, tup in items)
+        return []
+
+
+class ImmediateNetwork:
+    """Stands in for the simulated network: delivers on the spot."""
+
+    def send(self, src, dst, size, payload=None, on_delivery=None):
+        on_delivery(payload)
+
+
+class RecordingEngine:
+    def __init__(self, proc, log):
+        self.proc, self.log = proc, log
+
+    def ingest(self, fragment_id, tup):
+        self.log.append((self.proc, fragment_id, tup))
+
+
+def edges_under_test():
+    return {
+        "chain": ToFragment("b", "next"),
+        "colocated": ToFragment("a", "sink"),
+        "prefix": ToTaps((("a", "sink"), ("b", "tap-b"), ("b", "tap-c"))),
+        "pre": ToPartitions(fresh_router(), PARTITION_ROUTES),
+        "last": ToResult("q"),
+    }
+
+
+def live_hops(outputs):
+    """Per head fragment on processor ``a``: what ``_deliver`` carried."""
+
+    async def main():
+        carried = {}
+        for head, edge in edges_under_test().items():
+            log: list = []
+            proc = LiveProcessor(
+                "e", "a", None, {}, {}, None, None, None, None, None
+            )
+            proc._record_busy = lambda fragment, cost: None
+            proc.clock = type("Clock", (), {"now": 0.0})
+            proc._senders = {
+                dest: RecordingSender(dest, log) for dest in ("b", None)
+            }
+            proc.fragments.update(
+                {
+                    head: StubFragment(head, [], "a", outputs),
+                    "sink": StubFragment("sink", log, "a"),
+                    "agg#p0": StubFragment("agg#p0", log, "a"),
+                }
+            )
+            proc.downstream[head] = edge
+            await proc._deliver([("a", head, [trade(99, 0.0)])])
+            carried[head] = log
+        return carried
+
+    return asyncio.run(main())
+
+
+def sim_hops(outputs):
+    """Per head fragment on processor ``a``: what ``_hop`` carried."""
+    sim = Simulator(seed=0)
+    net = Network(sim)
+    net.add_node(NetworkNode("e", 0.5, 0.5, group="e"))
+    nodes = [
+        net.add_node(NetworkNode(p, tier="lan", group="e", x=0.5, y=0.5))
+        for p in ("a", "b")
+    ]
+    entity = Entity(sim, net, "e", nodes, stock_catalog(exchanges=1))
+    carried = {}
+    for head, edge in edges_under_test().items():
+        log: list = []
+        entity.network = ImmediateNetwork()
+        entity.engines = {p: RecordingEngine(p, log) for p in ("a", "b")}
+        entity.result_handler = lambda qid, tup: log.append((None, qid, tup))
+        carry = entity._carry("a", edge)
+        for out in outputs:
+            carry(out)
+        carried[head] = log
+    return carried
+
+
+def test_sim_hop_and_live_deliver_carry_the_same_hops():
+    live, sim = live_hops(PARTITION_OUTPUTS), sim_hops(PARTITION_OUTPUTS)
+    assert live.keys() == sim.keys()
+    for head in live:
+        assert live[head], head
+        if head == "prefix":
+            # a tap fan-out hands each tap the whole batch in turn; per
+            # tuple, the sim visits every tap — same hops per tap
+            key = lambda hop: (hop[0], hop[1])  # noqa: E731
+            assert sorted(live[head], key=key) == sorted(sim[head], key=key)
+        else:
+            assert live[head] == sim[head], head
+    # all four kinds really produced local, remote and result hops
+    dests = {hop[0] for log in live.values() for hop in log}
+    assert dests == {"a", "b", None}
+
+
+# ----------------------------------------------------------------------
+# Nobody else names an edge kind
+# ----------------------------------------------------------------------
+def test_only_the_wiring_module_names_an_edge_kind():
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        if path == root / "core" / "wiring.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            name = (
+                node.id
+                if isinstance(node, ast.Name)
+                else node.attr
+                if isinstance(node, ast.Attribute)
+                else node.name
+                if isinstance(node, ast.alias)
+                else None
+            )
+            if name in EDGE_KINDS:
+                offenders.append(f"{path.relative_to(root)}:{name}")
+    assert offenders == []
