@@ -10,7 +10,7 @@ operational layer that makes that sustainable:
   constraint waits in a bounded queue (or is rejected when the queue is
   full) instead of overloading an entity.
 * :mod:`repro.control.quotas` — per-tenant weighted-fair token buckets
-  enforced at the delegate-routing intake, so one tenant's traffic
+  enforced at the processor hosting the head, so one tenant's traffic
   spike cannot starve colocated tenants.
 * :mod:`repro.control.runtime` — :class:`Control`, the live-runtime
   service that executes a scripted churn of registrations and

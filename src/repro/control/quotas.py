@@ -1,9 +1,9 @@
 """Per-tenant weighted-fair intake quotas (token buckets).
 
-Enforcement happens at the delegate-routing intake of the LAN
-processors — the point where a raw stream tuple is about to fan out to
-one query's head fragment.  That placement has two consequences the
-control plane wants:
+Enforcement happens at the processor hosting a query's head fragment —
+the point where a raw stream tuple, taken in from the gateway or from
+the delegate's relay, is about to enter that fragment.  That placement
+has two consequences the control plane wants:
 
 * dissemination upstream is untouched (a tuple shed for tenant A still
   reaches tenant B's queries on the same stream), and

@@ -18,8 +18,9 @@ federation:
   disturbing the remaining members;
 * **per-tenant fair quotas** (weighted-fair token buckets from
   :mod:`repro.control.quotas`) are installed on every LAN processor's
-  delegate-routing intake; which head fragment is charged to which
-  tenant follows the wiring, re-derived on every change
+  stream intake (gateway hand-off or delegate relay); which head
+  fragment is charged to which tenant follows the wiring, re-derived
+  on every change
   (:meth:`~repro.live.runtime.LiveDataflow.rewire`).
 
 Several events due at the same wakeup share one quiesce window, so a

@@ -70,6 +70,7 @@ def merge_reports(
         "filtered_edges",
         "forwarded_edges",
         "batches_sent",
+        "tuples_sent",
         "retries",
         "dropped_batches",
         "dropped_tuples",
@@ -100,12 +101,6 @@ def merge_reports(
     )
     merged["p95_result_latency"] = max(
         (r["p95_result_latency"] for r in reports), default=0.0
-    )
-    tuples_sent = sum(
-        r["batches_sent"] * r["mean_batch_size"] for r in reports
-    )
-    merged["mean_batch_size"] = (
-        tuples_sent / merged["batches_sent"] if merged["batches_sent"] else 0.0
     )
     return LiveReport(**merged)
 

@@ -50,6 +50,22 @@ BATCH_LINGER = 0.05
 _TARGET = itemgetter(0)  # of a processor inbox item, ``(target, tuple)``
 
 
+class _Relay:
+    """Type of :data:`RELAY`; equal to nothing but itself."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "RELAY"
+
+
+# Target of a delegate's relay to a fellow processor: "feed your own
+# heads of this stream, pass it no further".  Fragment ids are strings,
+# so no id can equal it; processor channels never cross a socket, so it
+# is never encoded.
+RELAY = _Relay()
+
+
 def _runs(keys: list, items: list) -> Sequence[tuple[Any, list]]:
     """Cut ``items`` into maximal runs of consecutive items with equal
     key (``keys[i]`` is ``items[i]``'s), as ``(key, run)`` pairs.  Senders
@@ -470,10 +486,19 @@ class LiveGateway:
 class LiveProcessor:
     """One LAN processor: delegate routing plus fragment execution.
 
-    Inbox items are ``(fragment_id, tuple)`` pairs; ``fragment_id is
-    None`` marks raw delegate intake that must fan out to the head
-    fragment of every hosted query consuming the tuple's stream — the
-    same two-step route the simulator's entity performs.
+    Inbox items are ``(target, tuple)`` pairs of three kinds:
+
+    * ``None`` — raw delegate intake from the gateway.  This processor
+      is the stream's delegate (§4: "receives, routes internally, and
+      forwards"): it feeds the head fragments it hosts and relays the
+      run *once* to every other processor hosting a head of the stream;
+    * :data:`RELAY` — a delegate's relay: feed the heads hosted here
+      and relay no further, whatever ``delegation`` says by now, so a
+      fail-over with relays in flight cannot duplicate;
+    * a fragment id — a chain, partition or tap hop for that fragment.
+
+    The simulator's entity sends one LAN message per (tuple, head)
+    instead; that is its cost model, the results are the same.
     """
 
     def __init__(
@@ -533,7 +558,7 @@ class LiveProcessor:
             self.tracker.done(len(batch))
 
     async def _execute_batch(
-        self, items: list[tuple[str | None, StreamTuple]]
+        self, items: list[tuple[str | _Relay | None, StreamTuple]]
     ) -> None:
         """Execute one inbox batch without unbatching it.
 
@@ -543,32 +568,45 @@ class LiveProcessor:
         tuples in exactly the arrival order.
         """
         targets = list(map(_TARGET, items))
-        for fragment_id, run in _runs(targets, items):
+        for target, run in _runs(targets, items):
             tuples = [tup for __, tup in run]
-            if fragment_id is None:
-                await self._intake_batch(tuples)
+            if target is None or target is RELAY:
+                await self._intake_batch(tuples, relay=target is None)
             else:
-                await self._deliver([(self.proc_id, fragment_id, tuples)])
+                await self._deliver([(self.proc_id, target, tuples)])
 
-    async def _intake_batch(self, run: list[StreamTuple]) -> None:
-        """Delegate-route a batch of raw stream tuples to head fragments."""
+    async def _intake_batch(
+        self, run: list[StreamTuple], *, relay: bool
+    ) -> None:
+        """Route a batch of raw stream tuples to head fragments: as the
+        delegate (``relay``), or as the receiver of a delegate's relay."""
         streams = [tup.stream_id for tup in run]
         for stream_id, sub in _runs(streams, run):
-            await self._deliver(self._head_hops(stream_id, sub))
+            await self._deliver(self._head_hops(stream_id, sub, relay))
 
-    def _head_hops(self, stream_id: str, sub: list[StreamTuple]) -> Iterator[Hop]:
-        """One hop per head fragment consuming the stream — lazily, so
-        that under quotas a head is admitted when its turn comes,
-        against the clock as it stands then."""
+    def _head_hops(
+        self, stream_id: str, sub: list[StreamTuple], relay: bool
+    ) -> Iterator[tuple[str, str | _Relay, list[StreamTuple]]]:
+        """One hop per head fragment of the stream hosted here and, when
+        ``relay``, one :data:`RELAY` hop per other processor hosting any,
+        at its first head in hosting order — lazily, so that under quotas
+        a head is admitted when its turn comes, against the clock as it
+        stands then."""
         throttle = self.throttle
+        proc_id = self.proc_id
+        relayed = set()
         for head, proc in self.head_routes.get(stream_id, ()):
-            admitted = (
-                sub
-                if throttle is None
-                else throttle.admit(head, sub, self.clock.now)
-            )
-            if admitted:
-                yield proc, head, admitted
+            if proc == proc_id:
+                admitted = (
+                    sub
+                    if throttle is None
+                    else throttle.admit(head, sub, self.clock.now)
+                )
+                if admitted:
+                    yield proc, head, admitted
+            elif relay and proc not in relayed:
+                relayed.add(proc)
+                yield proc, RELAY, sub
 
     def _record_busy(self, fragment: Fragment, cost: float) -> None:
         """Account fragment CPU, splitting a shared prefix fragment's
@@ -584,11 +622,15 @@ class LiveProcessor:
             self.entity_id, cost, query_id=fragment.query_id
         )
 
-    async def _deliver(self, hops: Iterable[Hop]) -> None:
+    async def _deliver(
+        self,
+        hops: Iterable[Hop | tuple[str, _Relay, list[StreamTuple]]],
+    ) -> None:
         """Carry each ``(proc, target, tuples)`` hop in turn.
 
         Bound for another processor (or, ``proc`` ``None``, the results
-        of query ``target``), the tuples ride that destination's sender.
+        of query ``target``), the tuples ride that destination's sender
+        — a relay like any fragment's.
         A fragment of this processor runs inline, and the hops its
         out-edge routes the outputs to are delivered before the next.
         """

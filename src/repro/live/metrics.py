@@ -32,13 +32,6 @@ class TransportStats:
     dropped_batches: int = 0
     dropped_tuples: int = 0
 
-    @property
-    def mean_batch_size(self) -> float:
-        """Average tuples per successfully sent batch."""
-        if not self.batches_sent:
-            return 0.0
-        return self.tuples_sent / self.batches_sent
-
 
 class LiveMetrics:
     """Counters shared by every task of one live run."""
@@ -155,7 +148,7 @@ class LiveMetrics:
             filtered_edges=self.filtered_edges,
             forwarded_edges=self.forwarded_edges,
             batches_sent=transport.batches_sent,
-            mean_batch_size=transport.mean_batch_size,
+            tuples_sent=transport.tuples_sent,
             retries=transport.retries,
             dropped_batches=transport.dropped_batches,
             dropped_tuples=transport.dropped_tuples,
@@ -190,7 +183,11 @@ class LiveReport:
             compared against the wrong clock somewhere.
         filtered_edges / forwarded_edges: Early-filtering decisions at
             dissemination-tree edges.
-        batches_sent / mean_batch_size: Transport batching efficiency.
+        batches_sent / tuples_sent: Channel sends that succeeded and
+            the items they carried; ``mean_batch_size`` is their ratio
+            (transport batching efficiency) and ``tuples_sent /
+            tuples_delivered`` the hand-off amplification — channel
+            hops per gateway delivery.
         retries: Send attempts that timed out and were retried.
         dropped_batches / dropped_tuples: Sends abandoned after the
             retry budget (drops are metrics, never exceptions).
@@ -219,7 +216,7 @@ class LiveReport:
     filtered_edges: int
     forwarded_edges: int
     batches_sent: int
-    mean_batch_size: float
+    tuples_sent: int
     retries: int
     dropped_batches: int
     dropped_tuples: int
@@ -236,6 +233,13 @@ class LiveReport:
     control: ControlReport | None = None
 
     # ------------------------------------------------------------------
+    @property
+    def mean_batch_size(self) -> float:
+        """Average tuples per successfully sent batch."""
+        if not self.batches_sent:
+            return 0.0
+        return self.tuples_sent / self.batches_sent
+
     @property
     def ingest_throughput(self) -> float:
         """Source tuples replayed per wall-clock second."""

@@ -9,6 +9,7 @@ group leaves the remaining members' results untouched.
 
 from __future__ import annotations
 
+import asyncio
 import json
 from dataclasses import replace
 
@@ -40,6 +41,7 @@ from repro.live import (
     LiveSettings,
 )
 from repro.query.spec import QuerySpec
+from repro.streams.catalog import stock_catalog
 from repro.streams.tuples import StreamTuple
 from repro.workloads import churn_workload, sharing_workload
 
@@ -367,6 +369,79 @@ def test_quota_charges_survivors_of_a_dissolved_shared_group():
         for members in groups
     )
     assert after_teardown <= quota * (duration - teardown_at) + 2
+    assert audit_federation(runtime.planner, dataflow=runtime.dataflow) == []
+
+
+# ----------------------------------------------------------------------
+# Quotas are enforced where the head is hosted
+# ----------------------------------------------------------------------
+def test_quota_admits_each_head_at_the_processor_hosting_it():
+    """Two tenants, one stream, heads on different processors of one
+    entity: the delegate admits its own tenant's head and relays the
+    run; the other tenant is charged when the relay arrives, by the
+    processor that hosts its head."""
+    stream = "exchange-0.trades"
+    config = SystemConfig(
+        entity_count=1,
+        processors_per_entity=2,
+        seed=5,
+        tenant_quota_rate=40.0,
+        tenant_weights=(("a", 3.0), ("b", 1.0)),
+    )
+    runtime = LiveRuntime(
+        stock_catalog(exchanges=1, rate=80.0),
+        config,
+        LiveSettings(duration=3.0, batch_size=8),
+        services=[
+            Adaptation(AdaptationSettings(imbalance_threshold=1e9)),
+            Control(events=[]),
+        ],
+    )
+    # pass-all selections: a query's results are exactly what its head
+    # was admitted
+    runtime.submit(
+        [
+            QuerySpec(
+                query_id=f"q-{tenant}",
+                interests=(StreamInterest.on(stream, price=(0.0, 1e9)),),
+                tenant=tenant,
+            )
+            for tenant in ("a", "b")
+        ]
+    )
+    (entity,) = runtime.planner.entities.values()
+    host = dict(entity.wiring.head_routes[stream])  # head fragment -> proc
+    assert len(host) == len(set(host.values())) == 2, "heads share a processor"
+
+    admit = runtime.throttle.admit
+    admitted_in = []
+
+    def admit_logged(fragment_id, batch, now):
+        admitted_in.append(
+            (fragment_id, asyncio.current_task().get_name())
+        )
+        return admit(fragment_id, batch, now)
+
+    runtime.throttle.admit = admit_logged
+    report = runtime.run()
+
+    assert set(admitted_in) == {
+        (head, f"live:proc/{proc}") for head, proc in host.items()
+    }
+    throttle = runtime.throttle
+    for tenant in ("a", "b"):
+        seqs = [tup.seq for tup in runtime.results[f"q-{tenant}"]]
+        # charged exactly what ran, shed exactly what did not
+        assert throttle.admitted_by_tenant[tenant] == len(seqs) > 0
+        assert (
+            throttle.admitted_by_tenant[tenant]
+            + throttle.shed_by_tenant[tenant]
+            == report.tuples_delivered
+        )
+        # suffix shedding: what survives is still in stream order
+        assert seqs == sorted(seqs)
+    assert throttle.shed_by_tenant["b"] > throttle.shed_by_tenant["a"] > 0
+    assert report.control.shed_by_tenant == throttle.shed_by_tenant
     assert audit_federation(runtime.planner, dataflow=runtime.dataflow) == []
 
 

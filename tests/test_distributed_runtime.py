@@ -131,7 +131,7 @@ def _report_dict(**overrides):
         "filtered_edges": 5,
         "forwarded_edges": 20,
         "batches_sent": 10,
-        "mean_batch_size": 8.0,
+        "tuples_sent": 80,
         "retries": 0,
         "dropped_batches": 0,
         "dropped_tuples": 0,
@@ -166,6 +166,8 @@ def test_merge_reports_sums_disjoint_workers():
     )
     assert merged.results == 60
     assert merged.tuples_delivered == 160
+    assert merged.tuples_sent == 160
+    assert merged.mean_batch_size == 8.0
     assert merged.entity_tuples == {"entity-0": 80, "entity-1": 30}
     assert merged.entity_queue_high_water == {"entity-0": 3, "entity-1": 7}
     assert merged.results_by_query == {"q0": 40, "q1": 20}

@@ -8,8 +8,11 @@ workload, and reporting through the existing monitoring report types.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.analysis.invariants import audit_federation
 from repro.cli import main
 from repro.core.system import FederatedSystem, SystemConfig
 from repro.interest.predicates import StreamInterest
@@ -19,6 +22,7 @@ from repro.live import (
     RuntimeService,
     TransportChaos,
 )
+from repro.live.entity_task import RELAY
 from repro.monitoring.reports import LoadReport, SubtreeLoad
 from repro.query.spec import QuerySpec
 from repro.streams.catalog import stock_catalog
@@ -194,10 +198,10 @@ def test_permanent_failures_surface_as_drops_not_exceptions():
 # ----------------------------------------------------------------------
 # Parity with the discrete-event simulator
 # ----------------------------------------------------------------------
-def _simulated_result_keys(seed, duration):
+def _simulated_result_keys(seed, duration, *, config=None, queries=None):
     """Run the simulator and collect (query, stream, seq) result keys."""
-    system = FederatedSystem(make_catalog(), make_config(seed))
-    system.submit(filter_queries())
+    system = FederatedSystem(make_catalog(), config or make_config(seed))
+    system.submit(queries or filter_queries())
     observed = set()
 
     def wrap(handler):
@@ -246,6 +250,179 @@ def test_parity_holds_across_seeds():
         }
         assert report.negative_latency_samples == 0
         assert live_keys == sim_keys
+
+
+# ----------------------------------------------------------------------
+# The delegate relays a stream once per processor, not once per head
+# ----------------------------------------------------------------------
+def spread_queries():
+    """Twelve selections, six per stream: on two entities every stream
+    has two heads on each processor of the entity it is delivered to
+    (asserted where it matters)."""
+    return [
+        QuerySpec(
+            query_id=f"q{i}",
+            interests=(
+                StreamInterest.on(
+                    f"exchange-{i % 2}.trades",
+                    price=(40.0 + 60.0 * i, 440.0 + 60.0 * i),
+                ),
+            ),
+            client_x=0.1 * (i % 8),
+            client_y=0.9 - 0.1 * (i % 8),
+        )
+        for i in range(12)
+    ]
+
+
+class IntakeLog(RuntimeService):
+    """Logs every raw-intake item a processor takes off its inbox, as
+    ``(proc, target, stream, seq)``; ``on_relay`` is called once, when
+    the first relayed batch is about to be handed to its processor."""
+
+    def __init__(self, on_relay=None):
+        self.items = []
+        self.on_relay = on_relay
+
+    def start(self, flow):
+        for (__, proc_id), task in flow.processors.items():
+            task.inbox.get = self._logged(task.inbox.get, proc_id, flow)
+        return []
+
+    def _logged(self, get, proc_id, flow):
+        async def logged_get():
+            batch = await get()
+            intake = [
+                (proc_id, target, tup.stream_id, tup.seq)
+                for target, tup in batch
+                if target is None or target is RELAY
+            ]
+            self.items += intake
+            if self.on_relay and any(item[1] is RELAY for item in intake):
+                on_relay, self.on_relay = self.on_relay, None
+                on_relay(flow, proc_id)
+            return batch
+
+        return logged_get
+
+
+def spread_config(procs=3):
+    return SystemConfig(entity_count=2, processors_per_entity=procs, seed=5)
+
+
+def spread_runtime(settings, *, procs=3, services=()):
+    runtime = LiveRuntime(
+        make_catalog(), spread_config(procs), settings, services=services
+    )
+    runtime.submit(spread_queries())
+    return runtime
+
+
+def result_keys(runtime):
+    return Counter(
+        (query_id, tup.stream_id, tup.seq)
+        for query_id, tups in runtime.results.items()
+        for tup in tups
+    )
+
+
+def test_relay_reaches_each_head_hosting_processor_exactly_once():
+    log = IntakeLog()
+    runtime = spread_runtime(
+        LiveSettings(duration=1.0, batch_size=8), services=[log]
+    )
+    report = runtime.run()
+    delivered = 0
+    for entity in runtime.planner.entities.values():
+        for stream_id, routes in entity.wiring.head_routes.items():
+            hosts = {proc for __, proc in routes}
+            assert len(routes) > len(hosts) >= 2, "fixture lost its spread"
+            delegate = entity.delegation.delegate_of(stream_id)
+            taken = Counter(
+                (proc, seq)
+                for proc, __, stream, seq in log.items
+                if stream == stream_id and proc in entity.processors
+            )
+            seqs = {seq for __, seq in taken}
+            delivered += len(seqs)
+            # the delegate and every processor hosting a head took each
+            # delivered tuple in once; nobody took one in twice
+            assert taken == Counter(
+                (proc, seq)
+                for proc in sorted(hosts | {delegate})
+                for seq in sorted(seqs)
+            )
+            # straight from the gateway at the delegate, relayed elsewhere
+            assert all(
+                (target is None) == (proc == delegate)
+                for proc, target, stream, __ in log.items
+                if stream == stream_id and proc in entity.processors
+            )
+    assert delivered == report.tuples_delivered > 0
+    # Every channel hop of this fixed federation: tree edges, gateway to
+    # delegate, one relay per other processor, results.  A return to one
+    # copy per head reads 533.
+    assert report.tuples_sent == 409
+    assert report.mean_batch_size == report.tuples_sent / report.batches_sent
+
+
+def test_relayed_run_in_flight_across_a_delegate_failover_is_not_relayed_again():
+    """The delegate is re-pointed at the very processor that holds a
+    relayed batch it has not executed yet: that batch must feed its
+    heads only, and what the gateway sends the new delegate from then
+    on must reach the old one's heads by relay — every result once."""
+    repointed = []
+
+    def fail_over(flow, proc_id):
+        entity_id = flow.entity_of_processor(proc_id)
+        scheme = runtime.planner.entities[entity_id].delegation
+        (old,) = (p for p in scheme.processor_ids if p != proc_id)
+        repointed.append(scheme.fail_processor(old))
+        assert set(repointed[0].values()) == {proc_id}
+
+    log = IntakeLog(on_relay=fail_over)
+    runtime = spread_runtime(
+        LiveSettings(duration=2.0, batch_size=4), procs=2, services=[log]
+    )
+    report = runtime.run()
+    steady = spread_runtime(LiveSettings(duration=2.0, batch_size=4), procs=2)
+    steady.run()
+
+    assert repointed and repointed[0]
+    # both processors served as the delegate of the re-pointed stream
+    (stream_id,) = repointed[0]
+    delegates = {
+        proc
+        for proc, target, stream, __ in log.items
+        if stream == stream_id and target is None
+    }
+    assert len(delegates) == 2
+    keys = result_keys(runtime)
+    assert keys and max(keys.values()) == 1
+    assert keys == result_keys(steady)
+    assert report.dropped_tuples == 0
+    assert [
+        v
+        for v in audit_federation(runtime.planner, dataflow=runtime.dataflow)
+        if v.check == "wiring"
+    ] == []
+
+
+def test_relay_keeps_result_multisets_at_every_batch_size():
+    """Selection-only, heads of every stream on three processors: the
+    results are the simulator's, each exactly once, however the runs
+    are cut into batches."""
+    sim_keys = _simulated_result_keys(
+        5, 1.5, config=spread_config(), queries=spread_queries()
+    )
+    assert sim_keys
+    for batch_size in (1, 8, 32):
+        runtime = spread_runtime(
+            LiveSettings(duration=1.5, batch_size=batch_size)
+        )
+        report = runtime.run()
+        assert report.dropped_tuples == 0
+        assert result_keys(runtime) == Counter(sim_keys), batch_size
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,9 @@ The plan routes, the legs carry: every edge kind's ``route`` is pinned
 as a table of exact hops, the sim's ``_hop`` and the live ``_deliver``
 must carry the same hops in the same order, and no module but
 ``core/wiring.py`` may name an edge kind.
+
+The live delegate relays a stream once per processor hosting a head,
+not once per head: the relay rule is pinned on a stubbed processor.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from repro.core.wiring import (
 from repro.engine.partition import PartitionRouter, plan_partitioned
 from repro.interest.predicates import StreamInterest
 from repro.live import LiveProcessor, LiveRuntime, LiveSettings
+from repro.live.entity_task import RELAY, _runs
 from repro.query.spec import AggregateSpec, QuerySpec
 from repro.simulation.network import Network, NetworkNode
 from repro.simulation.simulator import Simulator
@@ -274,6 +278,18 @@ def edges_under_test():
     }
 
 
+def stub_processor(proc_id, head_routes, log, dests):
+    """A ``LiveProcessor`` with no channels: sends to ``dests`` land in
+    ``log``, CPU accounting is off, the clock stands at 0."""
+    proc = LiveProcessor(
+        "e", proc_id, None, head_routes, {}, None, None, None, None, None
+    )
+    proc._record_busy = lambda fragment, cost: None
+    proc.clock = type("Clock", (), {"now": 0.0})
+    proc._senders = {dest: RecordingSender(dest, log) for dest in dests}
+    return proc
+
+
 def live_hops(outputs):
     """Per head fragment on processor ``a``: what ``_deliver`` carried."""
 
@@ -281,14 +297,7 @@ def live_hops(outputs):
         carried = {}
         for head, edge in edges_under_test().items():
             log: list = []
-            proc = LiveProcessor(
-                "e", "a", None, {}, {}, None, None, None, None, None
-            )
-            proc._record_busy = lambda fragment, cost: None
-            proc.clock = type("Clock", (), {"now": 0.0})
-            proc._senders = {
-                dest: RecordingSender(dest, log) for dest in ("b", None)
-            }
+            proc = stub_processor("a", {}, log, ("b", None))
             proc.fragments.update(
                 {
                     head: StubFragment(head, [], "a", outputs),
@@ -342,6 +351,88 @@ def test_sim_hop_and_live_deliver_carry_the_same_hops():
     # all four kinds really produced local, remote and result hops
     dests = {hop[0] for log in live.values() for hop in log}
     assert dests == {"a", "b", None}
+
+
+# ----------------------------------------------------------------------
+# The delegate relays once per processor, a relay never relays again
+# ----------------------------------------------------------------------
+STREAM = "exchange-0.trades"
+# heads h0..h4 in hosting order: two on a, two on b, one on c
+HEAD_ROUTES = [("h0", "a"), ("h1", "b"), ("h2", "a"), ("h3", "b"), ("h4", "c")]
+
+
+def intake(proc_id, target, run, routes=HEAD_ROUTES):
+    """What processor ``proc_id`` does with ``run`` arriving as
+    ``(target, tuple)`` inbox items: heads it ran and items it sent,
+    in order, as ``(proc, target, tuple)``."""
+
+    async def main():
+        log: list = []
+        proc = stub_processor(
+            proc_id, {STREAM: routes}, log, {"a", "b", "c"} - {proc_id}
+        )
+        proc.fragments.update(
+            {
+                head: StubFragment(head, log, proc_id)
+                for head, host in routes
+                if host == proc_id
+            }
+        )
+        await proc._execute_batch([(target, tup) for tup in run])
+        return log
+
+    return asyncio.run(main())
+
+
+def test_delegate_runs_its_heads_and_relays_once_per_other_processor():
+    run = [trade(0, 0.0), trade(1, 0.1)]
+    # each other processor is relayed to at its first head in hosting
+    # order (b before a's second head, c last), once however many heads
+    # it hosts
+    assert intake("a", None, run) == [
+        (proc, target, tup)
+        for proc, target in (
+            ("a", "h0"), ("b", RELAY), ("a", "h2"), ("c", RELAY)
+        )
+        for tup in run
+    ]
+    # a delegate hosting no head of the stream only relays
+    elsewhere = [route for route in HEAD_ROUTES if route[1] != "a"]
+    assert intake("a", None, run, elsewhere) == [
+        (proc, RELAY, tup) for proc in ("b", "c") for tup in run
+    ]
+
+
+def test_a_relayed_run_feeds_only_its_own_heads_and_sends_nothing():
+    run = [trade(0, 0.0), trade(1, 0.1)]
+    assert intake("b", RELAY, run) == [
+        ("b", head, tup) for head in ("h1", "h3") for tup in run
+    ]
+    assert intake("c", RELAY, run) == [("c", "h4", tup) for tup in run]
+
+
+def test_relay_marker_is_no_fragment_id_and_survives_runs(runtime):
+    fragment_ids = {
+        fragment_id
+        for entity in runtime.planner.entities.values()
+        for per_proc in derive_wiring(entity).fragments.values()
+        for fragment_id in per_proc
+    }
+    assert fragment_ids
+    assert all(RELAY != fid and fid != RELAY for fid in fragment_ids)
+    assert RELAY is not None and RELAY == RELAY
+    # _runs compares keys with == / list.count: one run stays whole, a
+    # marker between intake and a fragment hop is cut out exactly
+    items = list("abcdef")
+    assert _runs([RELAY] * 6, items) == ((RELAY, items),)
+    fid = min(fragment_ids)
+    assert list(_runs([None, RELAY, RELAY, fid, RELAY, None], items)) == [
+        (None, ["a"]),
+        (RELAY, ["b", "c"]),
+        (fid, ["d"]),
+        (RELAY, ["e"]),
+        (None, ["f"]),
+    ]
 
 
 # ----------------------------------------------------------------------
