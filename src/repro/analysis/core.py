@@ -189,6 +189,7 @@ def all_rules() -> list[Rule]:
         rules_asy,
         rules_det,
         rules_inv,
+        rules_perf,
         rules_proto,
     )
 

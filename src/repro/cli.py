@@ -24,7 +24,7 @@ Commands:
 * ``profile`` — run a scenario under cProfile and print the hottest
   functions (see docs/performance.md);
 * ``experiments`` — list the paper-reproduction experiment index;
-* ``lint`` — run the project's AST linter (DET/ASY/INV/PROTO packs)
+* ``lint`` — run the project's AST linter (DET/ASY/INV/PERF/PROTO packs)
   with ``--select``/``--ignore`` rule filtering;
 * ``race`` — explore seeded task interleavings of the migration /
   rebalance / admission / credit scenarios under the happens-before
@@ -917,7 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the project's AST linter (DET/ASY/INV rule packs)",
+        help="run the project's AST linter (DET/ASY/INV/PERF/PROTO rule packs)",
     )
     lint.add_argument(
         "paths",

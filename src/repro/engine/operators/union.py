@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.engine.operators.base import Operator
 from repro.streams.tuples import StreamTuple
 
@@ -47,6 +45,6 @@ class UnionOperator(Operator):
         return [
             tup
             if tup.stream_id not in streams
-            else replace(tup, stream_id=out_id)
+            else tup.relabel(out_id)
             for tup in batch
         ]

@@ -48,6 +48,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 from repro.engine.operators.aggregate import WindowAggregateOperator
@@ -176,6 +177,7 @@ class PartitionSpec:
             loads[src] -= count
             loads[dst] += count
             overrides[key_value] = dst
+        # repro: allow[PERF001] control path: a frozen config object, once per rebalance
         return replace(
             self, overrides=tuple(sorted(overrides.items()))
         )
@@ -273,10 +275,7 @@ class PartitionRouter:
         self._evt[part] += 1
         return (
             part,
-            replace(
-                tup,
-                stream_id=f"{self._evt_marker}{event}__/{tup.stream_id}",
-            ),
+            tup.relabel(f"{self._evt_marker}{event}__/{tup.stream_id}"),
         )
 
     def route(self, tup: StreamTuple) -> list[tuple[object, StreamTuple]]:
@@ -389,20 +388,20 @@ class PartitionStageOperator(Operator):
         self.stage = inner.name
         self.ack = ack_stream(inner.name, index)
         self.flush = flush_stream(inner.name)
-        self._evt_marker = f"{inner.name}.__evt"
+        # "<stage>.__evt<event>__/<original stream id>", ASCII digits only
+        self._envelope = re.compile(
+            re.escape(f"{inner.name}.__evt") + r"([0-9]+)__/"
+        )
         self._next_event = 0
         self._held: dict[int, StreamTuple] = {}
 
     # ------------------------------------------------------------------
     def _decode(self, tup: StreamTuple) -> tuple[int | None, StreamTuple]:
         stream_id = tup.stream_id
-        if not stream_id.startswith(self._evt_marker):
+        match = self._envelope.match(stream_id)
+        if match is None:
             return None, tup
-        rest = stream_id[len(self._evt_marker):]
-        event_str, sep, original = rest.partition("__/")
-        if not sep or not event_str.isdigit():
-            return None, tup
-        return int(event_str), replace(tup, stream_id=original)
+        return int(match[1]), tup.relabel(stream_id[match.end():])
 
     def cost(self, tup: StreamTuple) -> float:
         __, original = self._decode(tup)
@@ -437,7 +436,7 @@ class PartitionStageOperator(Operator):
         self._next_event += 1
         prefix = f"{self.stage}.__p{self.index}.{event}."
         wrapped = [
-            replace(out, stream_id=f"{prefix}{j}__/{out.stream_id}")
+            out.relabel(f"{prefix}{j}__/{out.stream_id}")
             for j, out in enumerate(outs)
         ]
         wrapped.append(
@@ -462,12 +461,17 @@ class PartitionStageOperator(Operator):
 
 
 class _PartitionInbox:
-    """The merge's reassembly buffer for one partition's events."""
+    """The merge's reassembly buffer for one partition's events.
+
+    ``events[event][index]`` is the output as it arrived — ``(enveloped
+    tuple, original stream id)`` — and ``counts[event]`` the ack's
+    output count; the released tuple is built from the pair at release.
+    """
 
     __slots__ = ("events", "counts", "consumed")
 
     def __init__(self) -> None:
-        self.events: dict[int, dict[int, StreamTuple]] = {}
+        self.events: dict[int, dict[int, tuple[StreamTuple, str]]] = {}
         self.counts: dict[int, int] = {}
         self.consumed = 0
 
@@ -477,7 +481,7 @@ class _PartitionInbox:
             return False
         return len(self.events.get(self.consumed, ())) == count
 
-    def pop_next(self) -> list[StreamTuple]:
+    def pop_next(self) -> list[tuple[StreamTuple, str]]:
         count = self.counts.pop(self.consumed)
         collected = self.events.pop(self.consumed, {})
         self.consumed += 1
@@ -493,10 +497,14 @@ class MergeStageOperator(Operator):
     Assembles each partition's events from ``(partition, event, index)``
     envelopes plus the ack's output count, and releases them strictly
     in the router's global ticket order — so the merged output is
-    independent of network interleaving.  Released tuples carrying the
-    stage's output stream are renumbered with one global sequence
-    counter (exactly the single operator's ``_emit_seq`` semantics);
-    pass-through tuples are released untouched.  A flush ticket takes
+    independent of network interleaving.  The inboxes hold each output
+    still enveloped, beside its decoded original stream id; a released
+    tuple is built once, at release, under that id — with the next
+    number of one global sequence counter when it carries the stage's
+    output stream (exactly the single operator's ``_emit_seq``
+    semantics), with its own ``seq`` when it passed through the stage.
+    Tuples that are no envelope at all (a malformed or foreign stream
+    id) are forwarded untouched.  A flush ticket takes
     the next event from *every* partition and interleaves the
     per-partition (sorted) flush outputs by group value, reproducing
     the single operator's globally sorted flush.
@@ -515,7 +523,11 @@ class MergeStageOperator(Operator):
         self.group_by = group_by
         self.out_stream = f"{stage}.out"
         self.sched = sched_stream(stage)
-        self._out_marker = f"{stage}.__p"
+        # "<stage>.__p<part>.<event>.<index>__/<original stream id>",
+        # ASCII digits only
+        self._envelope = re.compile(
+            re.escape(f"{stage}.__p") + r"([0-9]+)\.([0-9]+)\.([0-9]+)__/"
+        )
         self._ack_index = {
             ack_stream(stage, index): index for index in range(parts)
         }
@@ -525,61 +537,54 @@ class MergeStageOperator(Operator):
         self._emit_seq = 0
 
     # ------------------------------------------------------------------
-    def _decode(
-        self, stream_id: str
-    ) -> tuple[tuple[int, int, int] | None, str]:
-        if not stream_id.startswith(self._out_marker):
-            return None, stream_id
-        rest = stream_id[len(self._out_marker):]
-        head, sep, original = rest.partition("__/")
-        if not sep:
-            return None, stream_id
-        fields = head.split(".")
-        if len(fields) != 3 or not all(f.isdigit() for f in fields):
-            return None, stream_id
-        part, event, index = (int(f) for f in fields)
-        if part >= self.parts:
-            return None, stream_id
-        return (part, event, index), original
-
     def process_batch(
         self, batch: list[StreamTuple], now: float
     ) -> list[StreamTuple]:
         out: list[StreamTuple] = []
+        sched = self.sched
+        ack_index = self._ack_index
+        envelope = self._envelope.match
+        inboxes = self._inboxes
+        parts = self.parts
+        release = self._release
         for tup in batch:
             stream_id = tup.stream_id
-            if stream_id == self.sched:
+            if stream_id == sched:
                 self._sched_parts[tup.seq] = int(tup.values["partition"])
-            elif (ack_part := self._ack_index.get(stream_id)) is not None:
-                counts = self._inboxes[ack_part].counts
+            elif (ack_part := ack_index.get(stream_id)) is not None:
+                counts = inboxes[ack_part].counts
                 counts[int(tup.values["event"])] = int(tup.values["count"])
             else:
-                ids, original = self._decode(stream_id)
-                if ids is None:
+                match = envelope(stream_id)
+                if match is None or (part := int(match[1])) >= parts:
                     out.append(tup)
                     continue
-                part, event, index = ids
-                events = self._inboxes[part].events
-                events.setdefault(event, {})[index] = replace(
-                    tup, stream_id=original
+                events = inboxes[part].events
+                events.setdefault(int(match[2]), {})[int(match[3])] = (
+                    tup,
+                    stream_id[match.end():],
                 )
-            out.extend(self._release())
+            release(out)
         return out
 
     # ------------------------------------------------------------------
-    def _renumber(self, tup: StreamTuple) -> StreamTuple:
-        if tup.stream_id == self.out_stream:
-            tup = replace(tup, seq=self._emit_seq)
+    def _released(self, item: tuple[StreamTuple, str]) -> StreamTuple:
+        tup, stream_id = item
+        seq = tup.seq
+        if stream_id == self.out_stream:
+            seq = self._emit_seq
             self._emit_seq += 1
-        return tup
+        return StreamTuple(
+            stream_id, seq, tup.created_at, tup.values, tup.size
+        )
 
-    def _flush_key(self, tup: StreamTuple) -> float:
+    def _flush_key(self, item: tuple[StreamTuple, str]) -> float:
         if self.group_by is None:
             return 0.0
-        return tup.values.get(self.group_by, 0.0)
+        return item[0].values.get(self.group_by, 0.0)
 
-    def _release(self) -> list[StreamTuple]:
-        out: list[StreamTuple] = []
+    def _release(self, out: list[StreamTuple]) -> None:
+        """Append every event the schedule now lets go, ticket order."""
         while True:
             part = self._sched_parts.get(self._next_ticket)
             if part is None:
@@ -589,18 +594,19 @@ class MergeStageOperator(Operator):
                 if not inbox.ready():
                     break
                 event = inbox.pop_next()
-                out.extend(self._renumber(t) for t in event)
+                out.extend(map(self._released, event))
             else:
                 if not all(inbox.ready() for inbox in self._inboxes):
                     break
                 events = [inbox.pop_next() for inbox in self._inboxes]
                 out.extend(
-                    self._renumber(t)
-                    for t in heapq.merge(*events, key=self._flush_key)
+                    map(
+                        self._released,
+                        heapq.merge(*events, key=self._flush_key),
+                    )
                 )
             del self._sched_parts[self._next_ticket]
             self._next_ticket += 1
-        return out
 
     def buffered(self) -> int:
         """In-flight events held back by the merge (0 when quiescent)."""

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
 class StreamTuple:
     """One immutable stream element.
+
+    The copy helpers below build their result positionally:
+    ``dataclasses.replace`` walks the field list on every call, which
+    is too slow for the dataplane (lint rule ``PERF001``).
 
     Attributes:
         stream_id: The stream this tuple belongs to.
@@ -40,14 +44,20 @@ class StreamTuple:
         new_size = size if size is not None else self.size * len(kept) / max(
             1, len(self.values)
         )
-        return replace(self, values=kept, size=new_size)
+        return StreamTuple(
+            self.stream_id, self.seq, self.created_at, kept, new_size
+        )
 
     def relabel(self, stream_id: str) -> "StreamTuple":
         """Return a copy carried under another stream id."""
-        return replace(self, stream_id=stream_id)
+        return StreamTuple(
+            stream_id, self.seq, self.created_at, self.values, self.size
+        )
 
     def with_values(self, **updates: float) -> "StreamTuple":
         """Return a copy with some attribute values replaced/added."""
         merged = dict(self.values)
         merged.update(updates)
-        return replace(self, values=merged)
+        return StreamTuple(
+            self.stream_id, self.seq, self.created_at, merged, self.size
+        )

@@ -49,6 +49,7 @@ def test_rule_registry_has_all_packs():
         "ASY005",
         "ASY006",
         "INV001",
+        "PERF001",
         "PROTO001",
         "PROTO002",
         "PROTO003",
@@ -292,6 +293,65 @@ def test_inv001_allows_own_module_self_and_tests():
     assert "INV001" not in rules_fired(clean)
     probe = "def test_probe(tree):\n    assert tree._parent\n"
     assert "INV001" not in rules_fired(probe, "tests/test_tree.py")
+
+
+# ----------------------------------------------------------------------
+# PERF pack
+# ----------------------------------------------------------------------
+_REPLACE_CALLS = (
+    "import dataclasses\n"
+    "from dataclasses import replace\n"
+    "from dataclasses import replace as copy_with\n"
+    "def relabel(tup, stream_id):\n"
+    "    a = dataclasses.replace(tup, stream_id=stream_id)\n"
+    "    b = replace(tup, stream_id=stream_id)\n"
+    "    return copy_with(tup, stream_id=stream_id)\n"
+)
+
+
+def test_perf001_flags_dataclasses_replace_on_the_dataplane():
+    for path in (
+        "src/repro/engine/partition.py",
+        "src/repro/engine/operators/union.py",
+        "src/repro/streams/tuples.py",
+        "src/repro/dissemination/tree.py",
+        "src/repro/live/entity_task.py",
+    ):
+        findings = [
+            f
+            for f in analyze_sources({path: _REPLACE_CALLS})
+            if f.rule == "PERF001"
+        ]
+        assert [f.line for f in findings] == [5, 6, 7], path
+
+
+def test_perf001_leaves_control_paths_and_other_replaces_alone():
+    for path in (
+        "src/repro/live/adaptation.py",  # report objects, once per run
+        "src/repro/query/spec.py",
+        "tests/test_tuples.py",
+        "lib.py",
+    ):
+        assert "PERF001" not in rules_fired(_REPLACE_CALLS, path)
+    clean = (
+        "from dataclasses import dataclass\n"
+        "def replace(tup, **changes):\n"
+        "    return tup\n"
+        "def rename(tup, text):\n"
+        "    text.replace('a', 'b')\n"
+        "    tup._replace(seq=1)\n"
+        "    return replace(tup, seq=1)\n"
+    )
+    assert "PERF001" not in rules_fired(clean, "src/repro/engine/plan.py")
+    suppressed = (
+        "from dataclasses import replace\n"
+        "def rebalanced(spec, overrides):\n"
+        "    # repro: allow[PERF001] a config object, once per rebalance\n"
+        "    return replace(spec, overrides=overrides)\n"
+    )
+    assert "PERF001" not in rules_fired(
+        suppressed, "src/repro/engine/partition.py"
+    )
 
 
 # ----------------------------------------------------------------------
