@@ -59,7 +59,7 @@ def evolving_graphs(seed=61):
             active.pop(rng.randrange(len(active)))
 
 
-def test_repartitioning_tradeoff(benchmark):
+def test_repartitioning_tradeoff():
     stats = {}
 
     def run():
@@ -91,7 +91,7 @@ def test_repartitioning_tradeoff(benchmark):
             stats[name]["imbalance"] /= epochs
         return stats
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
+    run()
 
     print_header(
         f"E7 — adaptive repartitioning over {EPOCHS} epochs "

@@ -47,7 +47,7 @@ def strategies(parts, seed=0):
     }
 
 
-def test_allocation_quality_by_workload_size(benchmark):
+def test_allocation_quality_by_workload_size():
     results = {}
 
     def sweep():
@@ -62,7 +62,7 @@ def test_allocation_quality_by_workload_size(benchmark):
                 )
         return results
 
-    benchmark.pedantic(sweep, rounds=1, iterations=1)
+    sweep()
 
     print_header(
         "E6 — allocation quality (duplicate kB/s + imbalance) vs #queries"
@@ -82,7 +82,7 @@ def test_allocation_quality_by_workload_size(benchmark):
         assert ours_imb <= 1.2
 
 
-def test_multilevel_ablation(benchmark):
+def test_multilevel_ablation():
     """Coarsening and refinement each contribute to cut quality."""
     variants = {
         "full multilevel": dict(),
@@ -105,7 +105,7 @@ def test_multilevel_ablation(benchmark):
             results[name] = (out.cut, out.imbalance, elapsed)
         return results
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
+    run()
 
     print_header("E6b — multilevel partitioner ablation (400 queries)")
     table = Table(["variant", "cut kB/s", "imbalance", "time ms"])

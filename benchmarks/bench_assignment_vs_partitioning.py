@@ -100,7 +100,7 @@ def run_model(placer, seed=73):
     }
 
 
-def test_assignment_vs_partitioning(benchmark):
+def test_assignment_vs_partitioning():
     results = {}
 
     def run():
@@ -108,7 +108,7 @@ def test_assignment_vs_partitioning(benchmark):
             results[label] = run_model(placer)
         return results
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
+    run()
 
     print_header(
         "E11 — assignment vs partitioning formulation "

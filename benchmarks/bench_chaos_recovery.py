@@ -87,7 +87,7 @@ def run_pair(faults: int):
     return outcomes[True], outcomes[False]
 
 
-def test_chaos_recovery_benefit(benchmark):
+def test_chaos_recovery_benefit():
     results = {}
 
     def run():
@@ -95,7 +95,7 @@ def test_chaos_recovery_benefit(benchmark):
             results[faults] = run_pair(faults)
         return results
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
+    run()
 
     print_header(
         f"E16 — recovery benefit under processor crashes ({QUERIES} "

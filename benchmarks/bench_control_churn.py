@@ -19,18 +19,14 @@ weighted-fair token buckets must clamp the spiking tenant at its quota
 so the max/min cross-tenant delivered-throughput ratio stays <= 1.2 —
 the spike cannot starve the quiet tenants.
 
-Gated metrics are headroom ratios (bound / observed, higher is better,
-matching the regression checker's floor semantics); the raw
-``p95_admission_ms`` and ``fairness_ratio`` ride along as info.
-
-Writes ``BENCH_control_churn.json``; the nightly gate pins
-``admission_headroom``, ``fairness_headroom``, and ``audit_clean``.
+The admission bar is 250 virtual ms; the p95 must also keep 10 %
+headroom under it (<= 225 ms).
 """
 
 from __future__ import annotations
 
 from repro.analysis.invariants import audit_federation
-from repro.bench.reporting import Table, emit, print_header, write_bench_json
+from repro.bench.reporting import Table, emit, print_header
 from repro.control import Control
 from repro.live import Adaptation, LiveRuntime, LiveSettings
 from repro.workloads import churn_workload
@@ -42,6 +38,7 @@ FAIRNESS_DURATION = 3.0
 RATE = 60.0
 SPIKE_FACTOR = 10.0
 P95_BOUND_MS = 250.0  # virtual; the "bounded admission latency" bar
+P95_HEADROOM_MS = 0.9 * P95_BOUND_MS
 FAIRNESS_BOUND = 1.2  # max/min delivered-throughput ratio across tenants
 
 
@@ -89,7 +86,7 @@ def run_fairness_leg():
     return runtime.run()
 
 
-def test_control_churn(benchmark):
+def test_control_churn():
     legs = {}
 
     def run():
@@ -97,7 +94,7 @@ def test_control_churn(benchmark):
         legs["fairness"] = run_fairness_leg()
         return legs
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
+    run()
 
     churn_report, violations, events = legs["churn"]
     control = churn_report.control
@@ -141,6 +138,9 @@ def test_control_churn(benchmark):
     assert control.arrivals == arrivals and settled == arrivals
     # bounded admission latency, clean structural audit
     assert p95_ms <= P95_BOUND_MS, f"p95 admission {p95_ms:.1f} ms"
+    assert p95_ms <= P95_HEADROOM_MS, (
+        f"p95 admission {p95_ms:.1f} ms leaves under 10% headroom"
+    )
     assert not violations, [v.render() for v in violations]
     # the spiking tenant is clamped to its quota; quiet tenants unhurt
     assert len(fairness.delivered_by_tenant) == 3
@@ -149,24 +149,4 @@ def test_control_churn(benchmark):
     )
     assert fairness.shed_by_tenant.get("tenant-a", 0) > 0, (
         "the 10x spike was never throttled"
-    )
-
-    write_bench_json(
-        "control_churn",
-        {
-            "seed": SEED,
-            "churn_events_per_min": churn_rate,
-            "arrivals": control.arrivals,
-            "admitted": control.registered,
-            "deferred": control.deferred,
-            "rejected": control.rejected,
-            "quiesce_windows": control.quiesce_windows,
-            "mean_admission_ms": control.mean_admission_latency * 1000.0,
-            "p95_admission_ms": p95_ms,
-            "admission_headroom": P95_BOUND_MS / max(p95_ms, 1e-3),
-            "fairness_ratio": ratio,
-            "fairness_headroom": FAIRNESS_BOUND / max(ratio, 1e-3),
-            "audit_clean": 0.0 if violations else 1.0,
-            "spike_shed": fairness.shed_by_tenant.get("tenant-a", 0),
-        },
     )

@@ -28,7 +28,7 @@ def build_tree(n, k=3, seed=41):
     return tree
 
 
-def test_routing_scales_with_membership(benchmark):
+def test_routing_scales_with_membership():
     """Messages per routed query grow with tree depth (log n), not n."""
     results = {}
 
@@ -47,7 +47,7 @@ def test_routing_scales_with_membership(benchmark):
             }
         return results
 
-    benchmark.pedantic(sweep, rounds=1, iterations=1)
+    sweep()
 
     print_header("E5 — query routing cost vs membership size")
     table = Table(["entities", "tree depth", "msgs/query", "load imbalance"])
@@ -71,7 +71,7 @@ def test_routing_scales_with_membership(benchmark):
     assert ratio < 4.0
 
 
-def test_invariants_under_churn(benchmark):
+def test_invariants_under_churn():
     """Poisson churn with heartbeat-based crash detection."""
     outcome = {}
 
@@ -130,7 +130,7 @@ def test_invariants_under_churn(benchmark):
         )
         return outcome
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
+    run()
 
     print_header("E5b — 60s Poisson churn over a 100-entity tree (k=3)")
     table = Table(["metric", "value"])
@@ -152,7 +152,7 @@ def test_invariants_under_churn(benchmark):
     assert outcome["detected_crashes"] > 0
 
 
-def test_cluster_size_distribution(benchmark):
+def test_cluster_size_distribution():
     """Rule check: every non-singleton layer keeps k <= size <= 3k-1."""
     ks = [2, 3, 4]
     results = {}
@@ -169,7 +169,7 @@ def test_cluster_size_distribution(benchmark):
             }
         return results
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
+    run()
 
     print_header("E5c — layer-0 cluster sizes vs k (200 entities)")
     table = Table(["k", "clusters", "min size", "max size", "3k-1 bound"])

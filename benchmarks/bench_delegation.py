@@ -34,7 +34,7 @@ def intake_profile(stream_count, *, delegated):
     }
 
 
-def test_delegation_scales_intake(benchmark):
+def test_delegation_scales_intake():
     results = {}
 
     def run():
@@ -45,7 +45,7 @@ def test_delegation_scales_intake(benchmark):
             }
         return results
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
+    run()
 
     print_header("E8 / Figure 3 — per-processor intake rate vs #streams")
     table = Table(

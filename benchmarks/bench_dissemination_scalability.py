@@ -76,7 +76,7 @@ def run_once(builder_name, entity_count, seed=21):
     }
 
 
-def test_dissemination_scalability(benchmark):
+def test_dissemination_scalability():
     results: dict[str, dict[int, dict]] = {}
 
     def sweep():
@@ -86,7 +86,7 @@ def test_dissemination_scalability(benchmark):
                 results[name][count] = run_once(name, count)
         return results
 
-    benchmark.pedantic(sweep, rounds=1, iterations=1)
+    sweep()
 
     print_header("E3 — dissemination scalability vs number of entities")
     table = Table(

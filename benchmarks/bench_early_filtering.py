@@ -62,7 +62,7 @@ def run_once(selectivity, early_filtering, max_intervals=8, seed=31):
     }
 
 
-def test_early_filtering_savings(benchmark):
+def test_early_filtering_savings():
     results = {}
 
     def sweep():
@@ -73,7 +73,7 @@ def test_early_filtering_savings(benchmark):
             }
         return results
 
-    benchmark.pedantic(sweep, rounds=1, iterations=1)
+    sweep()
 
     print_header("E4 — early filtering: WAN bytes vs query selectivity")
     table = Table(
@@ -109,7 +109,7 @@ def test_early_filtering_savings(benchmark):
     assert abs(savings[-1]) < 10.0
 
 
-def test_interval_budget_ablation(benchmark):
+def test_interval_budget_ablation():
     """Coarser aggregates (smaller interval budget) forward more bytes."""
     budgets = [1, 2, 4, 16]
     results = {}
@@ -119,7 +119,7 @@ def test_interval_budget_ablation(benchmark):
             results[budget] = run_once(0.1, True, max_intervals=budget)
         return results
 
-    benchmark.pedantic(sweep, rounds=1, iterations=1)
+    sweep()
 
     print_header("E4b — ablation: aggregate interval budget")
     table = Table(["max intervals", "WAN kB", "deliveries"])
@@ -131,7 +131,7 @@ def test_interval_budget_ablation(benchmark):
     assert results[16]["wan_bytes"] <= results[1]["wan_bytes"]
 
 
-def test_transform_at_ancestors(benchmark):
+def test_transform_at_ancestors():
     """E4c — §3.1 'transforming': ancestors also project attributes.
 
     Entities declare they only read ``price``; with transform on,
@@ -175,7 +175,7 @@ def test_transform_at_ancestors(benchmark):
         results["filter + transform"] = run_transform(True)
         return results
 
-    benchmark.pedantic(sweep, rounds=1, iterations=1)
+    sweep()
 
     print_header("E4c — ablation: transforming (projection) at ancestors")
     table = Table(["mode", "WAN kB", "deliveries"])

@@ -68,7 +68,7 @@ def run_stack(overrides, seed=91):
     return system.run(DURATION)
 
 
-def test_end_to_end_stacks(benchmark):
+def test_end_to_end_stacks():
     results = {}
 
     def run():
@@ -76,7 +76,7 @@ def test_end_to_end_stacks(benchmark):
             results[name] = run_stack(overrides)
         return results
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
+    run()
 
     print_header(
         f"E12 — end-to-end stacks ({ENTITIES} entities x 3 procs, "

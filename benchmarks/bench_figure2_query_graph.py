@@ -35,14 +35,12 @@ def exhaustive_optimum(graph):
     return best
 
 
-def test_figure2_reproduction(benchmark):
+def test_figure2_reproduction():
     graph = figure2_graph()
 
-    result = benchmark(
-        lambda: MultilevelPartitioner(
-            max_imbalance=1.01, coarsen_limit=2
-        ).partition(graph, 2)
-    )
+    result = MultilevelPartitioner(
+        max_imbalance=1.01, coarsen_limit=2
+    ).partition(graph, 2)
 
     print_header(
         "E1 / Figure 2 — query graph: duplicate traffic of candidate plans"

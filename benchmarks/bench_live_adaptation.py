@@ -17,21 +17,20 @@ Claims checked:
   produces the *identical* result set (no tuple lost or duplicated
   across pause → drain → state transfer → resume cycles);
 * adaptation cuts the p95 source-to-result latency versus the static
-  run: the median gain over the seeds is gated, per strategy;
+  run, per strategy: the median gain over the seeds is at least 1.1x
+  and at least 12 of the 16 seeds beat static;
 * what adaptation does to the hottest entity's CPU load is *reported*
   (median gain, seeds won), not asserted — it is a coin flip for
   ``scratch`` and a modest win for ``cut``;
 * the three §3.2.2 strategies trade decision time against migration
   count, measured live instead of offline (E7).
-
-Writes ``BENCH_live_adaptation.json``.
 """
 
 from __future__ import annotations
 
 from statistics import median
 
-from repro.bench.reporting import Table, emit, print_header, write_bench_json
+from repro.bench.reporting import Table, emit, print_header
 from repro.core.system import SystemConfig
 from repro.live import (
     Adaptation,
@@ -48,6 +47,8 @@ QUERIES = 32
 SEEDS = tuple(range(11, 27))
 ENTITIES = 4
 STRATEGIES = ("scratch", "cut", "hybrid")
+MIN_P95_GAIN_MEDIAN = 1.1
+MIN_P95_SEEDS_WON = 12
 
 
 def run_once(strategy: str | None, seed: int):
@@ -103,7 +104,7 @@ def max_load(report) -> float:
     return max(report.entity_cpu_seconds.values())
 
 
-def test_live_adaptation_vs_static(benchmark):
+def test_live_adaptation_vs_static():
     sweep = {}
 
     def run():
@@ -113,7 +114,7 @@ def test_live_adaptation_vs_static(benchmark):
             }
         return sweep
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
+    run()
 
     print_header(
         f"E17 — live adaptation vs static allocation ({QUERIES} queries, "
@@ -162,13 +163,6 @@ def test_live_adaptation_vs_static(benchmark):
             "median decision ms",
         ]
     )
-    payload = {
-        "queries": QUERIES,
-        "entities": ENTITIES,
-        "duration_virtual_s": DURATION,
-        "seeds": len(SEEDS),
-        "results": sum(runs[None][0].results for runs in sweep.values()),
-    }
     for strategy in STRATEGIES:
         adaptations = [
             runs[strategy][0].adaptation for runs in sweep.values()
@@ -187,13 +181,15 @@ def test_live_adaptation_vs_static(benchmark):
             ),
         }
         summary.add_row([strategy, *stats.values()])
-        payload.update(
-            {f"{strategy}_{name}": value for name, value in stats.items()}
-        )
-        # the one claim that holds whichever way a round's sample falls
-        assert stats["p95_gain_median"] > 1.0, (
+        # the one claim that holds whichever way a round's sample falls:
+        # a median gain over the seeds, and most seeds won outright
+        assert stats["p95_gain_median"] >= MIN_P95_GAIN_MEDIAN, (
             f"{strategy}: median p95 gain {stats['p95_gain_median']:.2f} "
-            f"over {len(SEEDS)} seeds does not beat static"
+            f"over {len(SEEDS)} seeds is below {MIN_P95_GAIN_MEDIAN}"
+        )
+        assert stats["p95_seeds_won"] >= MIN_P95_SEEDS_WON, (
+            f"{strategy}: p95 beats static on only "
+            f"{stats['p95_seeds_won']} of {len(SEEDS)} seeds"
         )
         assert any(a.queries_migrated > 0 for a in adaptations)
     summary.show()
@@ -201,4 +197,3 @@ def test_live_adaptation_vs_static(benchmark):
         "max-load gain is reported, not asserted: at one seed a strategy "
         "may end above the static run's hottest entity"
     )
-    write_bench_json("live_adaptation", payload)

@@ -75,7 +75,7 @@ def run_once(monitored: bool, seed=19):
     }
 
 
-def test_monitored_routing(benchmark):
+def test_monitored_routing():
     results = {}
 
     def run():
@@ -83,7 +83,7 @@ def test_monitored_routing(benchmark):
         results["+ measured load"] = run_once(True)
         return results
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
+    run()
 
     print_header(
         "E14 — online routing signal: admission history vs measured load "

@@ -79,7 +79,7 @@ def run_policy(policy_cls, refresh_interval=1.0, seed=81):
     }
 
 
-def test_ordering_adaptation(benchmark):
+def test_ordering_adaptation():
     results = {}
 
     def run():
@@ -87,7 +87,7 @@ def test_ordering_adaptation(benchmark):
             results[name] = run_policy(policy_cls)
         return results
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
+    run()
 
     print_header(
         "E10 — operator ordering under selectivity drift "
@@ -121,7 +121,7 @@ def test_ordering_adaptation(benchmark):
     assert adaptive["survivors"] == static["survivors"]
 
 
-def test_staleness_ablation(benchmark):
+def test_staleness_ablation():
     """Fresher statistics adapt faster after the drift switch."""
     intervals = [0.5, 2.0, 10.0]
     results = {}
@@ -133,7 +133,7 @@ def test_staleness_ablation(benchmark):
             )
         return results
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
+    run()
 
     print_header("E10b — ablation: AM statistics refresh interval")
     table = Table(["refresh s", "CPU s", "mean latency ms", "probe msgs"])

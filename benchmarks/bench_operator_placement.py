@@ -96,7 +96,7 @@ def run_placement(placer, distribution_limit=2, seed=71, heavy_count=3):
     }
 
 
-def test_placement_strategies(benchmark):
+def test_placement_strategies():
     results = {}
 
     def run():
@@ -104,7 +104,7 @@ def test_placement_strategies(benchmark):
             results[placer] = run_placement(placer)
         return results
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
+    run()
 
     print_header(
         f"E9 — placement vs PR ({QUERIES} queries, {PROCESSORS} processors)"
@@ -131,7 +131,7 @@ def test_placement_strategies(benchmark):
     assert results["pr"]["pr_max"] <= results["single"]["pr_max"] * 1.5
 
 
-def test_distribution_limit_ablation(benchmark):
+def test_distribution_limit_ablation():
     limits = [1, 2, 4, 8]
     results = {}
 
@@ -140,7 +140,7 @@ def test_distribution_limit_ablation(benchmark):
             results[limit] = run_placement("pr", distribution_limit=limit)
         return results
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
+    run()
 
     print_header("E9b — ablation: distribution limit (heuristic 2)")
     table = Table(["limit", "PR_max", "PR_mean", "LAN kB"])

@@ -13,20 +13,17 @@ time divided by result count, unshared over shared.
 At zero overlap the rewrite finds nothing and the ratio must stay ~1
 (no overhead regression); at overlap 0.8 eight identical filters
 collapse into one, so the shared run spends a fraction of the CPU for
-the bit-identical result set — the acceptance bar is >= 1.5x.  The
+the bit-identical result set — the acceptance bar is >= 1.8x.  The
 filter cost multiplier makes the shared prefix the dominant CPU term,
 matching the regime the optimizer targets (expensive predicates fanned
 across many subscribers).
-
-Writes ``BENCH_shared_computation.json``; the nightly gate pins
-``cpu_per_result_overlap8``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.bench.reporting import Table, emit, print_header, write_bench_json
+from repro.bench.reporting import Table, emit, print_header
 from repro.core.system import FederatedSystem
 from repro.workloads import sharing_workload
 
@@ -72,7 +69,7 @@ def run_leg(overlap: float, shared: bool):
     return observed, cpu, groups
 
 
-def test_shared_computation_cpu_per_result(benchmark):
+def test_shared_computation_cpu_per_result():
     legs = {}
 
     def run():
@@ -82,7 +79,7 @@ def test_shared_computation_cpu_per_result(benchmark):
             }
         return legs
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
+    run()
 
     print_header(
         "E20 — shared computation across colocated queries "
@@ -120,21 +117,5 @@ def test_shared_computation_cpu_per_result(benchmark):
     # a fully disjoint workload forms no groups and must not regress
     assert legs[0.0][True][2] == 0
     assert ratios[0.0] >= 0.95
-    # the acceptance bar: >= 1.5x CPU per delivered result at 0.8 overlap
-    assert ratios[0.8] >= 1.5
-
-    write_bench_json(
-        "shared_computation",
-        {
-            "seed": SEED,
-            "duration_virtual_s": DURATION,
-            "rate_tps": RATE,
-            "query_count": QUERY_COUNT,
-            "filter_cost_multiplier": FILTER_COST_MULTIPLIER,
-            "results_overlap8": len(legs[0.8][False][0]),
-            "shared_groups_overlap8": legs[0.8][True][2],
-            "cpu_per_result_overlap0": ratios[0.0],
-            "cpu_per_result_overlap4": ratios[0.4],
-            "cpu_per_result_overlap8": ratios[0.8],
-        },
-    )
+    # the acceptance bar: >= 1.8x CPU per delivered result at 0.8 overlap
+    assert ratios[0.8] >= 1.8

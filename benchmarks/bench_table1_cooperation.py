@@ -69,7 +69,7 @@ QUADRANTS = [
 ]
 
 
-def test_table1_cooperation_matrix(benchmark):
+def test_table1_cooperation_matrix():
     rows = []
 
     def run_all():
@@ -79,7 +79,7 @@ def test_table1_cooperation_matrix(benchmark):
             rows.append((transfer, processing, report))
         return rows
 
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
+    run_all()
 
     print_header("E2 / Table 1 — cooperation taxonomy, measured")
     table = Table(

@@ -4,7 +4,7 @@ Every bench prints the table/series of the paper artifact it
 reproduces.  pytest captures stdout at the fd level, so the tables are
 buffered by :mod:`repro.bench.reporting` and flushed here, after the
 run, as a terminal summary section — they therefore always appear in
-``pytest benchmarks/ --benchmark-only`` output.
+``pytest benchmarks/`` output.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from repro.analysis.suppressions import Suppressions
 #: File basenames treated as test/benchmark code by rules that only
 #: apply to library code (e.g. encapsulation checks).
 _TEST_PREFIXES = ("test_", "bench_")
-_TEST_BASENAMES = {"conftest.py", "check_regression.py"}
+_TEST_BASENAMES = {"conftest.py"}
 
 
 @dataclass(frozen=True, order=True)

@@ -6,17 +6,10 @@ would contain, so EXPERIMENTS.md can quote bench output verbatim.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 RESULTS_FILE_ENV = "REPRO_BENCH_RESULTS"
-BENCH_JSON_DIR_ENV = "REPRO_BENCH_JSON_DIR"
-
-# Schema version of the BENCH_*.json files written by
-# :func:`write_bench_json`; bump when the envelope shape changes.
-BENCH_JSON_SCHEMA = 1
 
 # Bench emissions are buffered so the benchmarks' conftest can flush
 # them after pytest's capture ends (pytest captures at the fd level, so
@@ -44,57 +37,6 @@ def emit(text: str) -> None:
     if path:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(text + "\n")
-
-
-def _repo_root() -> Path:
-    """Locate the repository root (the directory holding pyproject.toml).
-
-    Falls back to the package layout (``src/repro/bench`` is three
-    levels below the root) when no marker file is found — e.g. when the
-    package is imported from an unpacked tarball.
-    """
-    here = Path(__file__).resolve()
-    for parent in here.parents:
-        if (parent / "pyproject.toml").is_file():
-            return parent
-    return here.parents[3]
-
-
-def write_bench_json(name: str, metrics: dict[str, object]) -> Path:
-    """Write machine-readable bench results to ``BENCH_<name>.json``.
-
-    The file lands at the repository root (override the directory with
-    the ``REPRO_BENCH_JSON_DIR`` env var) using a stable envelope::
-
-        {
-          "name": "<name>",
-          "schema_version": 1,
-          "regenerate": "PYTHONPATH=src python -m pytest benchmarks/ ...",
-          "metrics": { "<metric>": <number | string | list>, ... }
-        }
-
-    Metric keys follow ``<subject>_<quantity>_<unit>`` naming (e.g.
-    ``pipeline_batch_tps``).  No timestamps are embedded so a re-run on
-    identical numbers produces an identical file (clean git diffs).
-    Returns the path written.
-    """
-    directory = os.environ.get(BENCH_JSON_DIR_ENV)
-    root = Path(directory) if directory else _repo_root()
-    payload = {
-        "name": name,
-        "schema_version": BENCH_JSON_SCHEMA,
-        "regenerate": (
-            "PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only -q"
-        ),
-        "metrics": metrics,
-    }
-    path = root / f"BENCH_{name}.json"
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    emit(f"[bench-json] wrote {path}")
-    return path
 
 
 def print_header(title: str, *, width: int = 72) -> None:

@@ -21,8 +21,6 @@ Commands:
   (normally spawned by ``launch``, not typed by hand);
 * ``query`` — compile one query-language string against a built-in
   catalog, run it on a small federation, and report its results;
-* ``profile`` — run a scenario under cProfile and print the hottest
-  functions (see docs/performance.md);
 * ``experiments`` — list the paper-reproduction experiment index;
 * ``lint`` — run the project's AST linter (DET/ASY/INV/PERF/PROTO packs)
   with ``--select``/``--ignore`` rule filtering;
@@ -40,7 +38,6 @@ import argparse
 import sys
 
 EXPERIMENTS = [
-    ("E0", "library micro-kernels", "bench_microkernels.py"),
     ("E1", "Figure 2 query-graph example", "bench_figure2_query_graph.py"),
     ("E2", "Table 1 cooperation taxonomy", "bench_table1_cooperation.py"),
     ("E3", "dissemination scalability", "bench_dissemination_scalability.py"),
@@ -59,14 +56,8 @@ EXPERIMENTS = [
     ("E12", "end-to-end composition", "bench_end_to_end.py"),
     ("E13", "entity churn resilience", "bench_entity_churn.py"),
     ("E14", "monitored routing signal", "bench_monitored_routing.py"),
-    ("E15", "live asyncio federation throughput", "bench_live_throughput.py"),
     ("E16", "failure recovery under chaos", "bench_chaos_recovery.py"),
     ("E17", "live adaptation vs static allocation", "bench_live_adaptation.py"),
-    (
-        "E18",
-        "distributed throughput scaling",
-        "bench_distributed_throughput.py",
-    ),
     (
         "E19",
         "partitioned joins/aggregates",
@@ -428,68 +419,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    import cProfile
-    import pstats
-
-    if args.scenario == "demo":
-        from repro.core.system import build_demo_system
-
-        system, _ = build_demo_system(
-            seed=args.seed, entity_count=args.entities, query_count=args.queries
-        )
-
-        def scenario():
-            return system.run(duration=args.duration)
-
-    else:  # live
-        from repro.core.system import SystemConfig
-        from repro.live import LiveRuntime, LiveSettings
-        from repro.query.generator import WorkloadConfig, generate_workload
-        from repro.streams.catalog import stock_catalog
-
-        catalog = stock_catalog(exchanges=2, rate=100.0)
-        runtime = LiveRuntime(
-            catalog,
-            SystemConfig(
-                entity_count=args.entities,
-                processors_per_entity=3,
-                seed=args.seed,
-            ),
-            LiveSettings(
-                duration=args.duration,
-                batch_size=args.batch_size,
-            ),
-        )
-        workload = generate_workload(
-            catalog,
-            WorkloadConfig(
-                query_count=args.queries,
-                join_fraction=0.0,
-                aggregate_fraction=0.2,
-            ),
-            seed=args.seed,
-        )
-        runtime.submit(workload.queries)
-        scenario = runtime.run
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    scenario()
-    profiler.disable()
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.sort_stats(args.sort).print_stats(args.limit)
-    if args.output:
-        stats.dump_stats(args.output)
-        print(f"profile data written to {args.output}")
-    return 0
-
-
 def _cmd_experiments(args: argparse.Namespace) -> int:
     print(f"{'id':4s} {'paper artifact / claim':36s} bench target")
     for exp_id, title, target in EXPERIMENTS:
         print(f"{exp_id:4s} {title:36s} benchmarks/{target}")
-    print("\nrun all with: pytest benchmarks/ --benchmark-only")
+    print("\nrun all with: PYTHONPATH=src python -m pytest benchmarks/ -q")
     return 0
 
 
@@ -874,41 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--seed", type=int, default=1)
     query.add_argument("--duration", type=float, default=5.0)
     query.set_defaults(handler=_cmd_query)
-
-    profile = sub.add_parser(
-        "profile",
-        help="profile a scenario with cProfile and print hot functions",
-    )
-    profile.add_argument(
-        "scenario",
-        nargs="?",
-        choices=("demo", "live"),
-        default="live",
-        help="what to profile: the simulated demo or the live runtime",
-    )
-    profile.add_argument("--seed", type=int, default=7)
-    profile.add_argument("--entities", type=int, default=4)
-    profile.add_argument("--queries", type=int, default=48)
-    profile.add_argument("--duration", type=float, default=2.0)
-    profile.add_argument("--batch-size", type=int, default=32)
-    profile.add_argument(
-        "--sort",
-        default="cumulative",
-        choices=("cumulative", "tottime", "calls", "ncalls", "time"),
-        help="pstats sort key for the printed table",
-    )
-    profile.add_argument(
-        "--limit",
-        type=int,
-        default=25,
-        help="number of functions to print",
-    )
-    profile.add_argument(
-        "--output",
-        default=None,
-        help="also dump raw pstats data to this file (for snakeviz etc.)",
-    )
-    profile.set_defaults(handler=_cmd_profile)
 
     experiments = sub.add_parser(
         "experiments", help="list the paper-reproduction experiments"

@@ -119,12 +119,9 @@ class DistributedCoordinator:
         duration: float | None = None,
         probe_interval: float = 0.02,
         python: str | None = None,
-        ship_deltas: str = "assign",
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if ship_deltas not in ("assign", "frames"):
-            raise ValueError("ship_deltas must be 'assign' or 'frames'")
         self.catalog = catalog
         self.config = config
         self.queries = queries
@@ -135,7 +132,6 @@ class DistributedCoordinator:
         )
         self.probe_interval = probe_interval
         self.python = python or sys.executable
-        self.ship_deltas = ship_deltas
         self.deltas: list[dict] = []
         # Filled during/after the run.
         self.entity_workers: dict[str, int] = {}
@@ -161,9 +157,9 @@ class DistributedCoordinator:
     def admit_query(self, query: QuerySpec) -> None:
         """Register one dynamic arrival before the run launches.
 
-        The delta ships to every worker (inline in ASSIGN or as an
-        ADMIT frame, per ``ship_deltas``) and is applied after the base
-        workload, so all processes re-derive the identical plan.
+        The delta ships to every worker as an ADMIT frame after ASSIGN
+        and is applied after the base workload, so all processes
+        re-derive the identical plan.
         """
         if self._ran:
             raise RuntimeError("lifecycle deltas must precede run()")
@@ -222,7 +218,6 @@ class DistributedCoordinator:
                 }
                 for worker_id in sorted(self._hello)
             ]
-            inline = self.ship_deltas == "assign"
             for worker_id, conn in enumerate(self._conns):
                 conn.send_json(
                     codec.ASSIGN,
@@ -236,19 +231,16 @@ class DistributedCoordinator:
                         duration=self.duration,
                         entity_workers=self.entity_workers,
                         feed_workers=self.feed_workers,
-                        deltas=self.deltas if inline else None,
-                        delta_count=0 if inline else len(self.deltas),
+                        delta_count=len(self.deltas),
                     ),
                 )
-                if not inline:
-                    for delta in self.deltas:
-                        if delta["action"] == "admit":
-                            conn.send_json(codec.ADMIT, delta["query"])
-                        else:
-                            conn.send_json(
-                                codec.RETIRE,
-                                {"query_id": delta["query_id"]},
-                            )
+                for delta in self.deltas:
+                    if delta["action"] == "admit":
+                        conn.send_json(codec.ADMIT, delta["query"])
+                    else:
+                        conn.send_json(
+                            codec.RETIRE, {"query_id": delta["query_id"]}
+                        )
             await self._wait(
                 lambda: len(self._ready) == self.workers,
                 HANDSHAKE_TIMEOUT,

@@ -175,16 +175,13 @@ def assignment_to_spec(
     duration: float,
     entity_workers: dict[str, int],
     feed_workers: dict[str, int],
-    deltas: list[dict] | None = None,
     delta_count: int = 0,
 ) -> dict:
     """The complete federation spec one worker needs to participate.
 
-    ``deltas`` carries plan-time lifecycle operations inline;
-    ``delta_count`` instead announces how many ADMIT/RETIRE frames
-    follow the ASSIGN, which the worker must collect (in order) and
-    apply before re-planning.  Both carriers produce the identical
-    re-derived query set.
+    ``delta_count`` announces how many ADMIT/RETIRE frames follow the
+    ASSIGN, which the worker must collect (in order) and apply after the
+    base workload before re-planning.
     """
     return {
         "worker_id": worker_id,
@@ -196,6 +193,5 @@ def assignment_to_spec(
         "duration": duration,
         "entity_workers": entity_workers,
         "feed_workers": feed_workers,
-        "deltas": list(deltas or []),
         "delta_count": delta_count,
     }

@@ -292,15 +292,14 @@ class DistributedWorker:
                 self._reader_tasks.append(task)
         await self._mesh_event.wait()
 
-        # Lifecycle deltas ride inline in ASSIGN or as ADMIT/RETIRE
-        # frames; with frames, ASSIGN announces the count so re-planning
-        # waits until the full, ordered sequence has arrived.
-        deltas = list(spec.get("deltas", []))
+        # Lifecycle deltas ride as ADMIT/RETIRE frames; ASSIGN announces
+        # the count so re-planning waits until the full, ordered
+        # sequence has arrived.
         self._deltas_expected = spec.get("delta_count", 0)
         if len(self.delta_frames) >= self._deltas_expected:
             self._deltas_event.set()
         await self._deltas_event.wait()
-        deltas.extend(self.delta_frames[: self._deltas_expected])
+        deltas = self.delta_frames[: self._deltas_expected]
 
         # Re-plan locally from the shipped inputs (deterministic).
         catalog = catalog_from_spec(spec["catalog"])

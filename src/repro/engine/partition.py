@@ -817,12 +817,6 @@ class PartitionedDeployment:
         self.spec = spec
         return True
 
-    def reset_runtime_state(self) -> None:
-        """Fresh execution state for a new run (router + fragments)."""
-        self.router.reset()
-        for fragment in self.fragments:
-            fragment.reset_state()
-
 
 def plan_partitioned(
     plan: QueryPlan, parallelism: int, *, scheme: str = HASH

@@ -401,7 +401,6 @@ class LiveGateway:
         clock: LiveClock,
         *,
         batch_size: int = 8,
-        service_wall: float = 0.0,
     ) -> None:
         self.entity_id = entity_id
         self.inbox = inbox
@@ -410,7 +409,6 @@ class LiveGateway:
         self.tracker = tracker
         self.metrics = metrics
         self.clock = clock
-        self.service_wall = service_wall
         self.control = TaskControl()
         self._senders = {
             proc: Sender(channel, transport, batch_size)
@@ -458,8 +456,6 @@ class LiveGateway:
         record = self.metrics.record_delivery
         for tup in batch:
             record(self.entity_id, tup, now)
-        if self.service_wall > 0.0:
-            await asyncio.sleep(self.service_wall * len(batch))
         await self.forwarder.forward_batch(batch)
         delegate_of = self.delegation.delegate_of
         senders = self._senders

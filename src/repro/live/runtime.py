@@ -82,8 +82,6 @@ class LiveSettings:
             the batch (surfaced as metrics, never an exception).
         backoff_base / backoff_factor / backoff_max: Exponential
             retry backoff schedule (wall seconds, seeded jitter).
-        gateway_service_wall: Wall seconds of gateway work per tuple —
-            models slow entities (used to exercise backpressure).
     """
 
     duration: float = 5.0
@@ -97,7 +95,6 @@ class LiveSettings:
     backoff_base: float = 0.005
     backoff_factor: float = 2.0
     backoff_max: float = 0.25
-    gateway_service_wall: float = 0.0
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
@@ -508,7 +505,6 @@ class LiveRuntime:
                 self.metrics,
                 clock,
                 batch_size=settings.batch_size,
-                service_wall=settings.gateway_service_wall,
             )
             head_routes: dict[str, list[tuple[str, str]]] = {}
             for proc_id in entity.processors:

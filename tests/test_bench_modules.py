@@ -6,6 +6,7 @@ the unit suite.
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import pathlib
 
@@ -49,6 +50,24 @@ def test_bench_module_imports_and_has_tests(path):
     assert module.__doc__, f"{path.stem} lacks a docstring"
     tests = [name for name in vars(module) if name.startswith("test_")]
     assert tests, f"{path.stem} defines no benchmark tests"
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=[p.stem for p in BENCH_FILES])
+def test_bench_asserts_claims_without_timing_them(path):
+    """Benches are plain tests: no timer fixture, no result files.
+
+    Speed is measured by ``perf/`` alone; a bench prints its table and
+    asserts its claim in-file.
+    """
+    source = path.read_text(encoding="utf-8")
+    for forbidden in ("write_bench_json", "pytest_benchmark", "BENCH_"):
+        assert forbidden not in source, f"{path.stem} mentions {forbidden}"
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_"):
+            params = [a.arg for a in node.args.args]
+            assert "benchmark" not in params, (
+                f"{path.stem}::{node.name} takes a benchmark fixture"
+            )
 
 
 @pytest.mark.parametrize("path", BENCH_FILES, ids=[p.stem for p in BENCH_FILES])

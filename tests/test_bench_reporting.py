@@ -1,10 +1,6 @@
-"""Tests for bench reporting helpers and the regression gate."""
+"""Tests for bench reporting helpers."""
 
 from __future__ import annotations
-
-import importlib.util
-import json
-import pathlib
 
 import pytest
 
@@ -49,114 +45,3 @@ def test_format_series():
 
 def test_format_series_no_unit():
     assert format_series("x", [1], [2]) == "x: (1, 2)"
-
-
-def test_write_bench_json_envelope(tmp_path, monkeypatch):
-    import json
-
-    from repro.bench.reporting import (
-        BENCH_JSON_DIR_ENV,
-        BENCH_JSON_SCHEMA,
-        write_bench_json,
-    )
-
-    monkeypatch.setenv(BENCH_JSON_DIR_ENV, str(tmp_path))
-    path = write_bench_json("sample", {"a_tps": 1234.5, "b_speedup": 2.0})
-    assert path == tmp_path / "BENCH_sample.json"
-    payload = json.loads(path.read_text())
-    assert payload["name"] == "sample"
-    assert payload["schema_version"] == BENCH_JSON_SCHEMA
-    assert "pytest benchmarks/" in payload["regenerate"]
-    assert payload["metrics"] == {"a_tps": 1234.5, "b_speedup": 2.0}
-    # stable output: identical metrics produce an identical file
-    first = path.read_text()
-    write_bench_json("sample", {"b_speedup": 2.0, "a_tps": 1234.5})
-    assert path.read_text() == first
-
-
-# ---------------------------------------------------------------------------
-# check_regression.py: the nightly gate must fail clearly, never crash
-# ---------------------------------------------------------------------------
-def _load_check_regression():
-    path = (
-        pathlib.Path(__file__).resolve().parent.parent
-        / "benchmarks"
-        / "check_regression.py"
-    )
-    spec = importlib.util.spec_from_file_location("check_regression", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture()
-def gate_env(tmp_path):
-    """A baselines file gating one metric, plus the bench dir path."""
-    baselines = tmp_path / "baselines.json"
-    baselines.write_text(
-        json.dumps(
-            {
-                "tolerance": 0.2,
-                "benches": {
-                    "sample": {
-                        "gate": {"speedup": 2.0},
-                        "info": {"tps": 1000.0},
-                    }
-                },
-            }
-        )
-    )
-    return _load_check_regression(), tmp_path, baselines
-
-
-def _write_bench(bench_dir, payload):
-    (bench_dir / "BENCH_sample.json").write_text(json.dumps(payload))
-
-
-def test_gate_holds(gate_env):
-    module, bench_dir, baselines = gate_env
-    _write_bench(bench_dir, {"metrics": {"speedup": 2.1, "tps": 900.0}})
-    assert module.check(bench_dir, baselines) == 0
-
-
-def test_gate_flags_regression(gate_env, capsys):
-    module, bench_dir, baselines = gate_env
-    _write_bench(bench_dir, {"metrics": {"speedup": 1.0}})
-    assert module.check(bench_dir, baselines) == 1
-    assert "REGRESSED" in capsys.readouterr().out
-
-
-def test_gate_reports_missing_metric(gate_env, capsys):
-    module, bench_dir, baselines = gate_env
-    _write_bench(bench_dir, {"metrics": {"other": 1.0}})
-    assert module.check(bench_dir, baselines) == 1
-    assert "missing from BENCH_sample.json" in capsys.readouterr().err
-
-
-def test_gate_reports_missing_metrics_object(gate_env, capsys):
-    """A result file without a 'metrics' object fails with a message,
-    not a KeyError (a half-written bench must not crash the gate)."""
-    module, bench_dir, baselines = gate_env
-    _write_bench(bench_dir, {"name": "sample"})
-    assert module.check(bench_dir, baselines) == 1
-    assert "has no 'metrics' object" in capsys.readouterr().err
-
-
-def test_gate_reports_non_dict_payload(gate_env, capsys):
-    module, bench_dir, baselines = gate_env
-    _write_bench(bench_dir, ["not", "a", "dict"])
-    assert module.check(bench_dir, baselines) == 1
-    assert "has no 'metrics' object" in capsys.readouterr().err
-
-
-def test_gate_reports_invalid_json(gate_env, capsys):
-    module, bench_dir, baselines = gate_env
-    (bench_dir / "BENCH_sample.json").write_text("{not json")
-    assert module.check(bench_dir, baselines) == 1
-    assert "not valid JSON" in capsys.readouterr().err
-
-
-def test_gate_reports_missing_bench_file(gate_env, capsys):
-    module, bench_dir, baselines = gate_env
-    assert module.check(bench_dir, baselines) == 1
-    assert "missing" in capsys.readouterr().err

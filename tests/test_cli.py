@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
-from repro.cli import main
+from repro.cli import EXPERIMENTS, main
 
 
 def test_info(capsys):
@@ -20,6 +22,12 @@ def test_experiments_lists_all(capsys):
     for exp_id in ("E1", "E7", "E13"):
         assert exp_id in out
     assert "bench_figure2_query_graph.py" in out
+    # the index and the directory agree: every target exists and every
+    # bench file is listed
+    bench_dir = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+    targets = {target for __, __, target in EXPERIMENTS}
+    assert len(targets) == len(EXPERIMENTS)
+    assert targets == {p.name for p in bench_dir.glob("bench_*.py")}
 
 
 def test_demo_runs(capsys):
@@ -66,29 +74,6 @@ def test_query_syntax_error_exit_code(capsys):
 def test_missing_command_raises_system_exit():
     with pytest.raises(SystemExit):
         main([])
-
-
-def test_profile_live_prints_hot_functions(capsys, tmp_path):
-    dump = tmp_path / "live.pstats"
-    code = main(
-        [
-            "profile",
-            "live",
-            "--duration",
-            "0.5",
-            "--queries",
-            "8",
-            "--limit",
-            "5",
-            "--output",
-            str(dump),
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "cumulative" in out
-    assert "function calls" in out
-    assert dump.is_file()
 
 
 def test_lint_clean_file_exits_zero(capsys, tmp_path):
@@ -209,24 +194,3 @@ def test_check_reports_invariants_hold(capsys):
     out = capsys.readouterr().out
     assert "invariants hold" in out
 
-
-def test_profile_demo_sort_tottime(capsys):
-    code = main(
-        [
-            "profile",
-            "demo",
-            "--duration",
-            "1.0",
-            "--queries",
-            "8",
-            "--entities",
-            "3",
-            "--sort",
-            "tottime",
-            "--limit",
-            "5",
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "function calls" in out

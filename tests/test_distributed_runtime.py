@@ -424,7 +424,7 @@ def _extra_query():
     )
 
 
-def make_delta_coordinator(seed, workers, ship, duration=DURATION):
+def make_delta_coordinator(seed, workers, duration=DURATION):
     catalog, config, queries = parity_workload(seed)
     coordinator = DistributedCoordinator(
         catalog,
@@ -432,7 +432,6 @@ def make_delta_coordinator(seed, workers, ship, duration=DURATION):
         queries,
         LiveSettings(duration=duration, batch_size=4),
         workers=workers,
-        ship_deltas=ship,
     )
     coordinator.admit_query(_extra_query())
     coordinator.retire_query("q1")
@@ -447,13 +446,12 @@ def effective_keys(seed, duration=DURATION):
     return _sim_keys(catalog, config, effective, duration)
 
 
-@pytest.mark.parametrize("ship", ["assign", "frames"])
-def test_delta_shipping_matches_simulator_of_effective_set(ship):
-    """Both transports — deltas inline in ASSIGN and deltas as
-    dedicated ADMIT/RETIRE frames — make every process re-derive the
-    same effective query set: results match a simulator run of that
-    set, the retired query is silent, the admitted one delivers."""
-    coordinator = make_delta_coordinator(seed=7, workers=1, ship=ship)
+def test_delta_shipping_matches_simulator_of_effective_set():
+    """Deltas shipped as ADMIT/RETIRE frames after ASSIGN make every
+    process re-derive the same effective query set: results match a
+    simulator run of that set, the retired query is silent, the
+    admitted one delivers."""
+    coordinator = make_delta_coordinator(seed=7, workers=1)
     report = coordinator.run()
     assert report.dropped_tuples == 0
     assert coordinator.violations == []
@@ -492,11 +490,9 @@ def test_delta_spec_rejects_unknown_action():
 @pytest.mark.slow
 def test_two_worker_delta_parity_both_transports():
     """Deltas survive the real multi-process path: two workers, real
-    sockets, both shipping modes, identical effective result sets."""
-    expected = effective_keys(11)
-    for ship in ("assign", "frames"):
-        coordinator = make_delta_coordinator(seed=11, workers=2, ship=ship)
-        report = coordinator.run()
-        assert coordinator.violations == []
-        assert report.dropped_tuples == 0
-        assert distributed_keys(coordinator) == expected, ship
+    sockets, identical effective result sets."""
+    coordinator = make_delta_coordinator(seed=11, workers=2)
+    report = coordinator.run()
+    assert coordinator.violations == []
+    assert report.dropped_tuples == 0
+    assert distributed_keys(coordinator) == effective_keys(11)

@@ -37,7 +37,7 @@ from repro.live import LiveRuntime, LiveSettings
 from repro.workloads import parity_workload, partition_workload, sharing_workload
 
 SEEDS = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-DISTRIBUTED_SWEEP = [(3, 2), (7, 4), (19, 2), (29, 3)]  # (seed, workers)
+DISTRIBUTED_SWEEP = [(3, 2), (7, 4), (11, 8), (19, 2), (29, 3)]  # (seed, workers)
 PARTITIONED_SEEDS = [2, 7, 19, 29]
 SHARED_SEEDS = [2, 7, 19, 29]
 SHARED_DISTRIBUTED_SWEEP = [(7, 2), (29, 3)]  # (seed, workers)

@@ -8,6 +8,7 @@ workload, and reporting through the existing monitoring report types.
 
 from __future__ import annotations
 
+import asyncio
 from collections import Counter
 
 import pytest
@@ -22,7 +23,7 @@ from repro.live import (
     RuntimeService,
     TransportChaos,
 )
-from repro.live.entity_task import RELAY
+from repro.live.entity_task import RELAY, LiveGateway
 from repro.monitoring.reports import LoadReport, SubtreeLoad
 from repro.query.spec import QuerySpec
 from repro.streams.catalog import stock_catalog
@@ -129,15 +130,21 @@ def test_time_scaled_run_paces_wall_clock():
 # ----------------------------------------------------------------------
 # Backpressure
 # ----------------------------------------------------------------------
-def test_backpressure_bounds_queues_under_slow_consumer():
+def test_backpressure_bounds_queues_under_slow_consumer(monkeypatch):
     """A slow gateway must block its producers at the channel bound,
     not grow an unbounded queue — and nothing may be dropped."""
+    handle_batch = LiveGateway._handle_batch
+
+    async def slow_handle_batch(self, batch):
+        await asyncio.sleep(0.0003 * len(batch))
+        await handle_batch(self, batch)
+
+    monkeypatch.setattr(LiveGateway, "_handle_batch", slow_handle_batch)
     __, report = run_live(
         LiveSettings(
             duration=1.5,
             batch_size=1,
             channel_capacity=3,
-            gateway_service_wall=0.0003,
             send_timeout=2.0,
         )
     )
