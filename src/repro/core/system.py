@@ -35,6 +35,9 @@ from repro.streams.tuples import StreamTuple
 
 DISSEMINATION_NAMES = ("closest", "direct", "kary")
 
+# Egress bandwidth of every stream source node (bytes/s).
+SOURCE_BANDWIDTH = 12.5e6
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -51,10 +54,7 @@ class SystemConfig:
         allocation: Query-to-entity strategy (see Portal).
         placement: Intra-entity placer (see placement.factory).
         distribution_limit: Max processors per query (§4.1 heuristic 2).
-        coordinator_k: Coordinator-tree cluster parameter.
         max_imbalance: Balance constraint for partitioning allocation.
-        source_bandwidth: Source node egress bandwidth (bytes/s).
-        poisson_sources: Poisson vs deterministic tuple inter-arrivals.
         monitoring_interval: When set, run the hierarchical monitoring
             service every this many seconds; online routing then also
             considers measured entity CPU load.
@@ -74,10 +74,7 @@ class SystemConfig:
     allocation: str = "partition"
     placement: str = "pr"
     distribution_limit: int = 2
-    coordinator_k: int = 3
     max_imbalance: float = 1.10
-    source_bandwidth: float = 12.5e6
-    poisson_sources: bool = True
     monitoring_interval: float | None = None
     tree_maintenance_interval: float | None = None
     transform_at_ancestors: bool = False
@@ -157,12 +154,7 @@ class FederatedSystem:
             e: (self.network.node(e).x, self.network.node(e).y)
             for e in self.entities
         }
-        self.portal = Portal(
-            list(self.entities),
-            positions,
-            catalog,
-            k=config.coordinator_k,
-        )
+        self.portal = Portal(list(self.entities), positions, catalog)
         self.sources: dict[str, StreamSource] = {}
         self._source_nodes: dict[str, str] = {}
         for schema in catalog.schemas():
@@ -172,12 +164,10 @@ class FederatedSystem:
                     node_id,
                     x=self.sim.rng.uniform(0.0, 1.0),
                     y=self.sim.rng.uniform(0.0, 1.0),
-                    bandwidth_bps=config.source_bandwidth,
+                    bandwidth_bps=SOURCE_BANDWIDTH,
                 )
             )
-            self.sources[schema.stream_id] = StreamSource(
-                self.sim, schema, poisson=config.poisson_sources
-            )
+            self.sources[schema.stream_id] = StreamSource(self.sim, schema)
             self._source_nodes[schema.stream_id] = node_id
 
         self.tracker = PerformanceTracker()

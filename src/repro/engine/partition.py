@@ -15,9 +15,9 @@ Stream Joins in a Shared-Nothing Cluster* mapped onto our fragments:
   survives the fan-out;
 * :class:`PartitionStageOperator` — one per partition, wrapping a fresh
   clone of the stateful operator; it envelopes every output with its
-  ``(partition, event, index)`` identity and appends an *ack* marker
-  carrying the event's output count;
-* :class:`MergeStageOperator` — reassembles per-partition events and
+  partition's constant ``<stage>.__p<i>__/`` prefix and closes each
+  event with an *ack* marker;
+* :class:`MergeStageOperator` — collects each partition's events and
   releases them in the router's global ticket order, renumbering stage
   outputs with one global sequence counter, so the merged stream is
   bit-identical to the single-fragment operator's;
@@ -28,13 +28,13 @@ Stream Joins in a Shared-Nothing Cluster* mapped onto our fragments:
 The protocol is deliberately in-band: every schedule, flush, and ack
 marker is an ordinary :class:`~repro.streams.tuples.StreamTuple`, so
 the same wiring works over simulator network sends, live asyncio
-channels, and the distributed wire codec.  Ordering is *explicit*, not
-assumed: the simulator's network delays scale with tuple size, so a
-small control tuple legally overtakes a bigger data tuple on the same
-link.  Each router→partition event therefore carries a per-partition
-sequence number (partitions reorder held events before processing),
-each partition output names its event and position, and each ack names
-its event and output count — the merge needs only *eventual* delivery.
+channels, and the distributed wire codec.  It relies on FIFO links, as
+the split/merge scheme does: every sender's stream — the router's
+schedule, the router's events for one partition, one partition's
+outputs and acks — arrives in the order it was sent.  The simulator's
+network, the live channels and TCP all keep that order, so nothing is
+numbered: a partition runs its events as they come, and the merge reads
+each partition's stream as a run of events closed by acks.
 
 Tumbling aggregates additionally need *punctuation*: when the router's
 watermark crosses a window boundary it broadcasts one flush control to
@@ -49,6 +49,7 @@ import bisect
 import heapq
 import math
 import re
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 from repro.engine.operators.aggregate import WindowAggregateOperator
@@ -193,10 +194,10 @@ class PartitionRouter:
     the single operator would.
 
     :meth:`route` turns one input tuple into a list of ``(destination,
-    tuple)`` sends: integer destinations address partitions (events
-    wrapped with a per-partition sequence number), and :data:`MERGE`
-    addresses the merge stage (schedule controls, numbered by the
-    global ticket).
+    tuple)`` sends: integer destinations address partitions (the input
+    tuple itself, or a flush control), and :data:`MERGE` addresses the
+    merge stage (schedule controls naming the owning partition, one
+    per global ticket).
     """
 
     MERGE = "merge"
@@ -221,11 +222,18 @@ class PartitionRouter:
         self.streams = streams
         self.group_by = group_by
         self.window = window
-        self._sched = sched_stream(stage)
         self._flush = flush_stream(stage)
-        self._evt_marker = f"{stage}.__evt"
-        self._ticket = 0
-        self._evt = [0] * spec.parts
+        # one schedule control per owner: a partition, or -1 for a flush
+        sched = sched_stream(stage)
+        self._sched = {
+            part: (
+                self.MERGE,
+                StreamTuple(
+                    sched, 0, 0.0, {"partition": float(part)}, CONTROL_SIZE
+                ),
+            )
+            for part in range(-1, spec.parts)
+        }
         self._current_window: int | None = None
         self.partition_counts = [0] * spec.parts
         self.key_counts: dict[float, int] = {}
@@ -255,29 +263,6 @@ class PartitionRouter:
         raise TypeError(f"{op!r} is not a partitionable stage")
 
     # ------------------------------------------------------------------
-    def _sched_control(
-        self, tup: StreamTuple, values: dict[str, float]
-    ) -> tuple[object, StreamTuple]:
-        control = StreamTuple(
-            stream_id=self._sched,
-            seq=self._ticket,
-            created_at=tup.created_at,
-            values=values,
-            size=CONTROL_SIZE,
-        )
-        self._ticket += 1
-        return (self.MERGE, control)
-
-    def _to_partition(
-        self, part: int, tup: StreamTuple
-    ) -> tuple[object, StreamTuple]:
-        event = self._evt[part]
-        self._evt[part] += 1
-        return (
-            part,
-            tup.relabel(f"{self._evt_marker}{event}__/{tup.stream_id}"),
-        )
-
     def route(self, tup: StreamTuple) -> list[tuple[object, StreamTuple]]:
         """The sends for one stage input: controls plus the data tuple."""
         events: list[tuple[object, StreamTuple]] = []
@@ -288,28 +273,17 @@ class PartitionRouter:
                     self._current_window = window_index
                 elif window_index > self._current_window:
                     # window boundary: one global flush ticket, broadcast
-                    events.append(
-                        self._sched_control(
-                            tup,
-                            {
-                                "partition": -1.0,
-                                "window": float(window_index),
-                            },
-                        )
+                    events.append(self._sched[-1])
+                    flush = StreamTuple(
+                        stream_id=self._flush,
+                        seq=window_index,
+                        created_at=tup.created_at,
+                        values={"window": float(window_index)},
+                        size=CONTROL_SIZE,
                     )
-                    for index in range(self.spec.parts):
-                        events.append(
-                            self._to_partition(
-                                index,
-                                StreamTuple(
-                                    stream_id=self._flush,
-                                    seq=window_index,
-                                    created_at=tup.created_at,
-                                    values={"window": float(window_index)},
-                                    size=CONTROL_SIZE,
-                                ),
-                            )
-                        )
+                    events.extend(
+                        (index, flush) for index in range(self.spec.parts)
+                    )
                     self._current_window = window_index
                 key = (
                     tup.values.get(self.group_by, 0.0)
@@ -329,8 +303,8 @@ class PartitionRouter:
                 self.key_counts[key] = self.key_counts.get(key, 0) + 1
             else:
                 part = 0
-        events.append(self._sched_control(tup, {"partition": float(part)}))
-        events.append(self._to_partition(part, tup))
+        events.append(self._sched[part])
+        events.append((part, tup))
         return events
 
     # ------------------------------------------------------------------
@@ -342,11 +316,7 @@ class PartitionRouter:
         return max(self.partition_counts) * self.spec.parts / total
 
     def repartition(self, spec: PartitionSpec) -> None:
-        """Swap the live spec (rebalancing); skew counters restart.
-
-        Event and ticket counters deliberately continue — in-flight
-        numbering must stay monotone across a rebalance.
-        """
+        """Swap the live spec (rebalancing); skew counters restart."""
         if spec.parts != self.spec.parts:
             raise ValueError("repartitioning cannot change the part count")
         self.spec = spec
@@ -358,22 +328,20 @@ class PartitionRouter:
         self.key_counts = {}
 
     def reset(self) -> None:
-        """Full reset for a fresh run: counts, watermark, sequencing."""
+        """Full reset for a fresh run: counts and watermark."""
         self.reset_counts()
-        self._ticket = 0
-        self._evt = [0] * self.spec.parts
         self._current_window = None
 
 
 class PartitionStageOperator(Operator):
     """One partition of a split stage: a clone plus the event protocol.
 
-    Consumes the sequenced events the router assigned to this partition
-    (data tuples and flush controls), reordering held events so the
-    clone always advances in router order.  Every processed event's
-    outputs are enveloped with ``(partition, event, index)`` — encoded
-    in the stream id, so the tuple underneath survives byte-identical —
-    followed by one ack naming the event and its output count.
+    Runs the events the router assigned to this partition (data tuples
+    and flush controls) as they arrive — in router order, links being
+    FIFO.  Every event's outputs leave under the partition's constant
+    ``<stage>.__p<i>__/`` prefix — the envelope lives in the stream id,
+    so the tuple underneath survives byte-identical — followed by the
+    partition's ack, which closes the event.
     """
 
     def __init__(self, inner: Operator, index: int, parts: int) -> None:
@@ -385,129 +353,53 @@ class PartitionStageOperator(Operator):
         self.inner = inner
         self.index = index
         self.parts = parts
-        self.stage = inner.name
-        self.ack = ack_stream(inner.name, index)
         self.flush = flush_stream(inner.name)
-        # "<stage>.__evt<event>__/<original stream id>", ASCII digits only
-        self._envelope = re.compile(
-            re.escape(f"{inner.name}.__evt") + r"([0-9]+)__/"
+        self.prefix = f"{inner.name}.__p{index}__/"
+        self.ack = StreamTuple(
+            ack_stream(inner.name, index), 0, 0.0, {}, CONTROL_SIZE
         )
-        self._next_event = 0
-        self._held: dict[int, StreamTuple] = {}
 
     # ------------------------------------------------------------------
-    def _decode(self, tup: StreamTuple) -> tuple[int | None, StreamTuple]:
-        stream_id = tup.stream_id
-        match = self._envelope.match(stream_id)
-        if match is None:
-            return None, tup
-        return int(match[1]), tup.relabel(stream_id[match.end():])
-
     def cost(self, tup: StreamTuple) -> float:
-        __, original = self._decode(tup)
-        if original.stream_id == self.flush:
+        if tup.stream_id == self.flush:
             return self.inner.cost_per_tuple
-        return self.inner.cost(original)
+        return self.inner.cost(tup)
 
     def process_batch(
         self, batch: list[StreamTuple], now: float
     ) -> list[StreamTuple]:
         out: list[StreamTuple] = []
+        inner, flush, prefix = self.inner, self.flush, self.prefix
         for tup in batch:
-            event, original = self._decode(tup)
-            if event is not None and event != self._next_event:
-                self._held[event] = original  # arrived early; hold in order
-                continue
-            out.extend(self._run_event(original, now))
-            while self._next_event in self._held:
-                out.extend(
-                    self._run_event(self._held.pop(self._next_event), now)
-                )
+            if tup.stream_id == flush:
+                outs = inner.advance_window(int(tup.values["window"]))
+            else:
+                outs = inner.process_batch([tup], now)
+            out.extend([res.relabel(prefix + res.stream_id) for res in outs])
+            out.append(self.ack)
         return out
-
-    def _run_event(
-        self, original: StreamTuple, now: float
-    ) -> list[StreamTuple]:
-        if original.stream_id == self.flush:
-            outs = self.inner.advance_window(int(original.values["window"]))
-        else:
-            outs = self.inner.process_batch([original], now)
-        event = self._next_event
-        self._next_event += 1
-        prefix = f"{self.stage}.__p{self.index}.{event}."
-        wrapped = [
-            out.relabel(f"{prefix}{j}__/{out.stream_id}")
-            for j, out in enumerate(outs)
-        ]
-        wrapped.append(
-            StreamTuple(
-                stream_id=self.ack,
-                seq=event,
-                created_at=original.created_at,
-                values={"event": float(event), "count": float(len(outs))},
-                size=CONTROL_SIZE,
-            )
-        )
-        return wrapped
-
-    def held_events(self) -> int:
-        """Events waiting on earlier ones (0 when quiescent)."""
-        return len(self._held)
 
     def reset_state(self) -> None:
         self.inner.reset_state()
-        self._next_event = 0
-        self._held.clear()
-
-
-class _PartitionInbox:
-    """The merge's reassembly buffer for one partition's events.
-
-    ``events[event][index]`` is the output as it arrived — ``(enveloped
-    tuple, original stream id)`` — and ``counts[event]`` the ack's
-    output count; the released tuple is built from the pair at release.
-    """
-
-    __slots__ = ("events", "counts", "consumed")
-
-    def __init__(self) -> None:
-        self.events: dict[int, dict[int, tuple[StreamTuple, str]]] = {}
-        self.counts: dict[int, int] = {}
-        self.consumed = 0
-
-    def ready(self) -> bool:
-        count = self.counts.get(self.consumed)
-        if count is None:
-            return False
-        return len(self.events.get(self.consumed, ())) == count
-
-    def pop_next(self) -> list[tuple[StreamTuple, str]]:
-        count = self.counts.pop(self.consumed)
-        collected = self.events.pop(self.consumed, {})
-        self.consumed += 1
-        return [collected[j] for j in range(count)]
-
-    def buffered(self) -> int:
-        return sum(len(e) for e in self.events.values()) + len(self.counts)
 
 
 class MergeStageOperator(Operator):
     """Deterministic order-preserving merge of the partition outputs.
 
-    Assembles each partition's events from ``(partition, event, index)``
-    envelopes plus the ack's output count, and releases them strictly
-    in the router's global ticket order — so the merged output is
-    independent of network interleaving.  The inboxes hold each output
-    still enveloped, beside its decoded original stream id; a released
-    tuple is built once, at release, under that id — with the next
+    Reads each partition's stream as a run of events: its enveloped
+    outputs gather as the partition's open event until its ack closes
+    the event.  Closed events leave strictly in the router's global
+    ticket order — the schedule stream — so the merged output is
+    independent of how the partitions' streams interleave.  A released
+    tuple is built once, under its original stream id — with the next
     number of one global sequence counter when it carries the stage's
     output stream (exactly the single operator's ``_emit_seq``
     semantics), with its own ``seq`` when it passed through the stage.
     Tuples that are no envelope at all (a malformed or foreign stream
-    id) are forwarded untouched.  A flush ticket takes
-    the next event from *every* partition and interleaves the
-    per-partition (sorted) flush outputs by group value, reproducing
-    the single operator's globally sorted flush.
+    id) are forwarded untouched.  A flush ticket takes the next event
+    from *every* partition and interleaves the per-partition (sorted)
+    flush outputs by group value, reproducing the single operator's
+    globally sorted flush.
     """
 
     def __init__(
@@ -523,18 +415,12 @@ class MergeStageOperator(Operator):
         self.group_by = group_by
         self.out_stream = f"{stage}.out"
         self.sched = sched_stream(stage)
-        # "<stage>.__p<part>.<event>.<index>__/<original stream id>",
-        # ASCII digits only
-        self._envelope = re.compile(
-            re.escape(f"{stage}.__p") + r"([0-9]+)\.([0-9]+)\.([0-9]+)__/"
-        )
+        # "<stage>.__p<part>__/<original stream id>", ASCII digits only
+        self._envelope = re.compile(re.escape(f"{stage}.__p") + r"([0-9]+)__/")
         self._ack_index = {
             ack_stream(stage, index): index for index in range(parts)
         }
-        self._sched_parts: dict[int, int] = {}  # ticket -> partition|-1
-        self._next_ticket = 0
-        self._inboxes = [_PartitionInbox() for _ in range(parts)]
-        self._emit_seq = 0
+        self.reset_state()
 
     # ------------------------------------------------------------------
     def process_batch(
@@ -544,27 +430,23 @@ class MergeStageOperator(Operator):
         sched = self.sched
         ack_index = self._ack_index
         envelope = self._envelope.match
-        inboxes = self._inboxes
+        open_events = self._open
         parts = self.parts
-        release = self._release
         for tup in batch:
             stream_id = tup.stream_id
             if stream_id == sched:
-                self._sched_parts[tup.seq] = int(tup.values["partition"])
-            elif (ack_part := ack_index.get(stream_id)) is not None:
-                counts = inboxes[ack_part].counts
-                counts[int(tup.values["event"])] = int(tup.values["count"])
+                self._tickets.append(int(tup.values["partition"]))
+            elif (part := ack_index.get(stream_id)) is not None:
+                self._closed[part].append(open_events[part])
+                open_events[part] = []
             else:
                 match = envelope(stream_id)
                 if match is None or (part := int(match[1])) >= parts:
                     out.append(tup)
-                    continue
-                events = inboxes[part].events
-                events.setdefault(int(match[2]), {})[int(match[3])] = (
-                    tup,
-                    stream_id[match.end():],
-                )
-            release(out)
+                else:
+                    open_events[part].append((tup, stream_id[match.end():]))
+                continue  # only a ticket or a closed event can release
+            self._release(out)
         return out
 
     # ------------------------------------------------------------------
@@ -585,39 +467,43 @@ class MergeStageOperator(Operator):
 
     def _release(self, out: list[StreamTuple]) -> None:
         """Append every event the schedule now lets go, ticket order."""
-        while True:
-            part = self._sched_parts.get(self._next_ticket)
-            if part is None:
-                break
+        tickets, closed = self._tickets, self._closed
+        while tickets:
+            part = tickets[0]
             if part >= 0:
-                inbox = self._inboxes[part]
-                if not inbox.ready():
-                    break
-                event = inbox.pop_next()
-                out.extend(map(self._released, event))
+                if not closed[part]:
+                    return
+                out.extend(map(self._released, closed[part].popleft()))
             else:
-                if not all(inbox.ready() for inbox in self._inboxes):
-                    break
-                events = [inbox.pop_next() for inbox in self._inboxes]
+                if not all(closed):
+                    return
+                events = [events.popleft() for events in closed]
                 out.extend(
                     map(
                         self._released,
                         heapq.merge(*events, key=self._flush_key),
                     )
                 )
-            del self._sched_parts[self._next_ticket]
-            self._next_ticket += 1
+            tickets.popleft()
 
     def buffered(self) -> int:
         """In-flight events held back by the merge (0 when quiescent)."""
-        return len(self._sched_parts) + sum(
-            inbox.buffered() for inbox in self._inboxes
+        return (
+            len(self._tickets)
+            + sum(map(len, self._open))
+            + sum(map(len, self._closed))
         )
 
     def reset_state(self) -> None:
-        self._sched_parts.clear()
-        self._next_ticket = 0
-        self._inboxes = [_PartitionInbox() for _ in range(self.parts)]
+        # partition per ticket (-1 = flush); per partition, the outputs
+        # of the event still open and the closed events not yet released
+        self._tickets: deque[int] = deque()
+        self._open: list[list[tuple[StreamTuple, str]]] = [
+            [] for _ in range(self.parts)
+        ]
+        self._closed: list[deque[list[tuple[StreamTuple, str]]]] = [
+            deque() for _ in range(self.parts)
+        ]
         self._emit_seq = 0
 
 

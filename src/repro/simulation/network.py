@@ -12,6 +12,12 @@ derived from Euclidean distance (WAN) or a constant (LAN), plus per-node
 egress bandwidth that adds serialisation delay.  Every transfer is
 accounted per directed link so experiments can report exact
 bytes-transferred, byte-hops, and per-node traffic.
+
+Every directed link is FIFO, like the TCP connections and asyncio
+channels of the live legs: a message is delivered no earlier than the
+previous message on the same link, so a small tuple never overtakes a
+larger one sent before it.  Protocols that hand a stream from one node
+to another (the partition router, stages and merge) rely on this.
 """
 
 from __future__ import annotations
@@ -74,8 +80,10 @@ class Network:
         * otherwise (WAN hop): ``wan_base_latency + distance * wan_latency_per_unit``
 
     A transfer of ``size`` bytes from ``src`` also pays a serialisation
-    delay ``size / src.bandwidth_bps``.  Delivery callbacks fire on the
-    owning simulator, so the network composes with every other subsystem.
+    delay ``size / src.bandwidth_bps``, but never lands before the
+    previous delivery on the same directed link (FIFO links).  Delivery
+    callbacks fire on the owning simulator, so the network composes
+    with every other subsystem.
     """
 
     def __init__(
@@ -92,6 +100,8 @@ class Network:
         self.lan_latency = lan_latency
         self._nodes: dict[str, NetworkNode] = {}
         self._link_stats: dict[tuple[str, str], LinkStats] = {}
+        # per directed link: the latest delivery time scheduled on it
+        self._link_tail: dict[tuple[str, str], float] = {}
         self.total_messages = 0
         self.total_bytes = 0.0
         self.wan_bytes = 0.0
@@ -161,7 +171,8 @@ class Network:
     ) -> float:
         """Transfer ``size`` bytes and schedule the delivery callback.
 
-        Returns the scheduled delivery delay (seconds).  If either
+        Returns the scheduled delivery delay (seconds), which includes
+        any wait behind the link's previous delivery.  If either
         endpoint is dead the message is dropped, counted, and the callback
         never fires; the returned delay is ``inf``.
         """
@@ -172,7 +183,8 @@ class Network:
             return math.inf
 
         delay = self.transfer_time(src_id, dst_id, size)
-        stats = self._link_stats.setdefault((src_id, dst_id), LinkStats())
+        link = (src_id, dst_id)
+        stats = self._link_stats.setdefault(link, LinkStats())
         stats.messages += 1
         stats.bytes += size
         self.total_messages += 1
@@ -189,7 +201,12 @@ class Network:
                 else:
                     self.dropped_messages += 1
 
-            self.sim.schedule(delay, deliver)
+            # FIFO: equal times fire in insertion order
+            now = self.sim.now
+            at = max(now + delay, self._link_tail.get(link, now))
+            self._link_tail[link] = at
+            self.sim.schedule_at(at, deliver)
+            delay = at - now
         return delay
 
     # ------------------------------------------------------------------

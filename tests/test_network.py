@@ -83,6 +83,28 @@ def test_send_accounts_bytes_and_messages(sim, network):
     assert network.link_stats("b", "a").messages == 0
 
 
+def test_link_is_fifo_and_links_are_independent(sim, network):
+    """A small message cannot overtake a large one sent before it on the
+    same directed link; another link does not wait behind it."""
+    make_pair(network)
+    network.add_node(NetworkNode("c", 1.0, 0.0, bandwidth_bps=1000.0))
+    got = []
+
+    def deliver(payload):
+        got.append((payload, sim.now))
+
+    network.send("a", "b", 10_000.0, payload="large", on_delivery=deliver)
+    network.send("a", "b", 16.0, payload="small", on_delivery=deliver)
+    network.send("a", "c", 16.0, payload="other", on_delivery=deliver)
+    sim.run()
+    large_at = network.transfer_time("a", "b", 10_000.0)
+    assert got == [
+        ("other", network.transfer_time("a", "c", 16.0)),
+        ("large", large_at),
+        ("small", large_at),
+    ]
+
+
 def test_send_to_dead_node_drops(sim, network):
     __, b = make_pair(network)
     b.alive = False
