@@ -16,11 +16,11 @@ of hooks:
   repair) run atomically on the single-threaded loop, so they chain
   through one shared token in observed order;
 * **tracked state** — the shared dicts migration can corrupt (head
-  routes, fragment/downstream tables, hosted/sharing maps, delegation
-  tables, partition specs) are wrapped in :class:`TrackedState`.  The
-  execution tables are re-derived *in place* on every change
-  (``LiveDataflow.rewire``), so the wrappers installed here keep seeing
-  every write.
+  routes and the intake derived from them, fragment/downstream tables,
+  hosted/sharing maps, delegation tables, partition specs) are wrapped
+  in :class:`TrackedState`.  The execution tables are re-derived *in
+  place* on every change (``LiveDataflow.rewire``), so the wrappers
+  installed here keep seeing every write.
 
 The per-tuple metrics dicts are deliberately *not* tracked: the load
 sampler reads them unsynchronized by design (stale samples only skew
@@ -52,6 +52,7 @@ __all__ = [
 #: State-name prefixes that may only be written under full quiescence.
 PROTECTED_PREFIXES: tuple[str, ...] = (
     "head_routes/",
+    "heads/",
     "fragments/",
     "downstream/",
     "hosted/",
@@ -226,6 +227,7 @@ def install_runtime_instrumentation(monitor: HBMonitor, runtime: LiveRuntime, fl
             table = TrackedState(proc.head_routes, monitor, f"head_routes/{entity_id}")
             shared_tables[id(proc.head_routes)] = table
         proc.head_routes = table
+        proc.heads = TrackedState(proc.heads, monitor, f"heads/{proc_id}")
         proc.fragments = TrackedState(proc.fragments, monitor, f"fragments/{proc_id}")
         proc.downstream = TrackedState(proc.downstream, monitor, f"downstream/{proc_id}")
 

@@ -4,7 +4,7 @@
 stream tuple to the stream's delegation processor, the delegate routes
 it to the head fragment of every hosted query consuming the stream
 (the live leg: once to each processor hosting such heads, which feeds
-its own — ``LiveProcessor._head_hops``), and
+its own — ``LiveProcessor._intake_batch``), and
 fragment outputs hop over the LAN — to the next fragment of the chain,
 across a partition fan-out, across a shared prefix's tap fan-out — until
 the last fragment ships results back to the gateway.

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine.operators.base import Operator
+from repro.engine.operators.filterop import FilterOperator
+from repro.interest.predicates import StreamInterest
 from repro.streams.tuples import StreamTuple
 
 
@@ -24,14 +26,15 @@ def pipeline_cost(operators: list[Operator]) -> float:
     """Expected CPU seconds per input tuple of an operator pipeline.
 
     Each operator's nominal cost is discounted by the cumulative
-    selectivity of everything upstream of it.
+    selectivity of everything upstream of it (the last operator's own
+    selectivity discounts nothing, so it is not read).
     """
     total = 0.0
     carried = 1.0
-    for op in operators:
+    for op in operators[:-1]:
         total += carried * op.cost_per_tuple
         carried *= op.selectivity
-    return total
+    return total + carried * operators[-1].cost_per_tuple
 
 
 def pipeline_selectivity(operators: list[Operator]) -> float:
@@ -196,6 +199,36 @@ class Fragment:
                 return []
             batch = op.apply_batch(batch, now)
         return batch
+
+    def leading_selection(self, stream_id: str) -> StreamInterest | None:
+        """The interest the leading operator selects ``stream_id`` tuples
+        by, when it is a :class:`FilterOperator` on that stream.
+
+        A processor evaluates these for all its heads of a stream in
+        one pass and hands each head its part via :meth:`run_selected`.
+        ``None`` — another leading operator, or a filter passing this
+        stream untouched — means the head runs whole.
+        """
+        head = self.operators[0]
+        if type(head) is FilterOperator and head.interest.stream_id == stream_id:
+            return head.interest
+        return None
+
+    def run_selected(
+        self, batch: list[StreamTuple], kept: list[StreamTuple], now: float
+    ) -> list[StreamTuple]:
+        """:meth:`run_batch` of same-stream ``batch``, given ``kept``:
+        what the leading selection (:meth:`leading_selection`) keeps of
+        it, computed elsewhere.  Accounts it in the leading operator's
+        statistics and pushes ``kept`` through the rest of the slice."""
+        stats = self.operators[0].stats
+        stats.tuples_in += len(batch)
+        stats.tuples_out += len(kept)
+        for op in self.operators[1:]:
+            if not kept:
+                return []
+            kept = op.apply_batch(kept, now)
+        return kept
 
     def reset_state(self) -> None:
         """Drop window state in every operator (fragment migration)."""

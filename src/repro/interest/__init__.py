@@ -12,16 +12,13 @@ our answer:
   graph's edge weights (§3.2.2);
 * :mod:`repro.interest.aggregate` — bounded-complexity aggregation of many
   interests into the filter an ancestor applies for a subtree (§3.1);
-* :mod:`repro.interest.compiled` — per-interest codegen'd match kernels
-  and batch filters, the hot-path form of ``matches_values``.
+* :mod:`repro.interest.compiled` — codegen'd match kernels (one interest)
+  and selection kernels (many at once), the hot-path forms of
+  ``matches_values``.
 """
 
 from repro.interest.aggregate import InterestAggregate, aggregate_interests
-from repro.interest.compiled import (
-    compile_aggregate,
-    compile_batch_filter,
-    compile_interest,
-)
+from repro.interest.compiled import compile_interest, compile_selector
 from repro.interest.overlap import interest_rate, overlap_rate, overlap_selectivity
 from repro.interest.predicates import Interval, IntervalSet, StreamInterest
 
@@ -30,8 +27,7 @@ __all__ = [
     "IntervalSet",
     "StreamInterest",
     "compile_interest",
-    "compile_aggregate",
-    "compile_batch_filter",
+    "compile_selector",
     "overlap_selectivity",
     "overlap_rate",
     "interest_rate",

@@ -239,16 +239,6 @@ class StreamInterest:
                 return False
         return True
 
-    def compiled(self) -> "object":
-        """The codegen'd predicate for this interest (cached).
-
-        Convenience alias for :func:`repro.interest.compiled.compile_interest`;
-        imported lazily to keep the module dependency one-way.
-        """
-        from repro.interest.compiled import compile_interest
-
-        return compile_interest(self)
-
     def intersect(self, other: "StreamInterest") -> "StreamInterest":
         """Conjunction of two interests on the same stream."""
         if self.stream_id != other.stream_id:

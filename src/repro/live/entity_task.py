@@ -30,13 +30,15 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from operator import itemgetter
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core.wiring import Edge, Hop
 from repro.dissemination.tree import DisseminationTree
 from repro.engine.plan import Fragment
+from repro.interest.compiled import SelectFn, compile_selector
+from repro.interest.predicates import StreamInterest
 from repro.live.channels import ChannelClosed, LiveChannel
 from repro.live.metrics import LiveMetrics
 from repro.live.transport import LiveTransport, Sender, WorkTracker, flush_all
@@ -64,6 +66,13 @@ class _Relay:
 # so no id can equal it; processor channels never cross a socket, so it
 # is never encoded.
 RELAY = _Relay()
+
+
+class _Heads(NamedTuple):
+    """One stream's intake on one processor (:meth:`LiveProcessor.load_heads`)."""
+
+    select: SelectFn | None
+    steps: tuple[tuple[str, Fragment | None, int | None], ...]
 
 
 def _runs(keys: list, items: list) -> Sequence[tuple[Any, list]]:
@@ -522,6 +531,8 @@ class LiveProcessor:
         self.fragments: dict[str, Fragment] = {}
         self.downstream: dict[str, Edge] = {}
         self.head_routes = head_routes
+        # Per stream, this processor's intake: see load_heads.
+        self.heads: dict[str, _Heads] = {}
         self.tracker = tracker
         self.metrics = metrics
         self.clock = clock
@@ -571,38 +582,90 @@ class LiveProcessor:
             else:
                 await self._deliver([(self.proc_id, target, tuples)])
 
+    def load_heads(self) -> None:
+        """Rebuild :attr:`heads` from ``head_routes`` and ``fragments``
+        (called by the loader of those tables, never stale).
+
+        Per stream, the steps in hosting order: a head hosted here, as
+        ``(fragment_id, fragment, slot)``, or a processor to relay to at
+        its first head, as ``(proc, None, None)``; plus one selector
+        evaluating every head's leading selection in one pass, ``slot``
+        indexing its result (``None``: the head selects everything and
+        runs whole).
+        """
+        proc_id, fragments = self.proc_id, self.fragments
+        heads: dict[str, _Heads] = {}
+        for stream_id, routes in self.head_routes.items():
+            interests: list[StreamInterest] = []
+            steps: list[tuple[str, Fragment | None, int | None]] = []
+            relayed = set()
+            for head, proc in routes:
+                if proc != proc_id:
+                    if proc not in relayed:
+                        relayed.add(proc)
+                        steps.append((proc, None, None))
+                    continue
+                fragment = fragments.get(head)
+                if fragment is None:
+                    continue
+                interest = fragment.leading_selection(stream_id)
+                slot = None
+                if interest is not None:
+                    slot = len(interests)
+                    interests.append(interest)
+                steps.append((head, fragment, slot))
+            heads[stream_id] = _Heads(
+                compile_selector(interests) if interests else None,
+                tuple(steps),
+            )
+        self.heads.clear()
+        self.heads.update(heads)
+
     async def _intake_batch(
         self, run: list[StreamTuple], *, relay: bool
     ) -> None:
         """Route a batch of raw stream tuples to head fragments: as the
-        delegate (``relay``), or as the receiver of a delegate's relay."""
+        delegate (``relay``), or as the receiver of a delegate's relay.
+
+        Per same-stream run, one selector pass keeps each head's tuples;
+        then, in hosting order, each head hosted here runs the rest of
+        its fragment on them (its outputs delivered before the next
+        head) and, when ``relay``, each other processor hosting a head
+        is relayed the run once, at its first head.  Under quotas a head
+        is admitted when its turn comes, against the clock as it stands
+        then; a head cut to a prefix runs whole on the prefix.
+        """
+        throttle = self.throttle
+        clock = self.clock
         streams = [tup.stream_id for tup in run]
         for stream_id, sub in _runs(streams, run):
-            await self._deliver(self._head_hops(stream_id, sub, relay))
-
-    def _head_hops(
-        self, stream_id: str, sub: list[StreamTuple], relay: bool
-    ) -> Iterator[tuple[str, str | _Relay, list[StreamTuple]]]:
-        """One hop per head fragment of the stream hosted here and, when
-        ``relay``, one :data:`RELAY` hop per other processor hosting any,
-        at its first head in hosting order — lazily, so that under quotas
-        a head is admitted when its turn comes, against the clock as it
-        stands then."""
-        throttle = self.throttle
-        proc_id = self.proc_id
-        relayed = set()
-        for head, proc in self.head_routes.get(stream_id, ()):
-            if proc == proc_id:
+            heads = self.heads.get(stream_id)
+            if heads is None:
+                continue
+            kept = heads.select(sub) if heads.select is not None else ()
+            for target, fragment, slot in heads.steps:
+                if fragment is None:
+                    if relay:
+                        sender = self._senders[target]
+                        for full in sender.add_many(
+                            [(RELAY, tup) for tup in sub]
+                        ):
+                            await sender.send(full)
+                    continue
                 admitted = (
                     sub
                     if throttle is None
-                    else throttle.admit(head, sub, self.clock.now)
+                    else throttle.admit(target, sub, clock.now)
                 )
-                if admitted:
-                    yield proc, head, admitted
-            elif relay and proc not in relayed:
-                relayed.add(proc)
-                yield proc, RELAY, sub
+                if not admitted:
+                    continue
+                self._record_busy(fragment, fragment.cost_for_batch(admitted))
+                if slot is None or admitted is not sub:
+                    outputs = fragment.run_batch(admitted, clock.now)
+                else:
+                    outputs = fragment.run_selected(sub, kept[slot], clock.now)
+                if outputs:
+                    await self._deliver(self.downstream[target].route(outputs))
 
     def _record_busy(self, fragment: Fragment, cost: float) -> None:
         """Account fragment CPU, splitting a shared prefix fragment's
@@ -620,13 +683,12 @@ class LiveProcessor:
 
     async def _deliver(
         self,
-        hops: Iterable[Hop | tuple[str, _Relay, list[StreamTuple]]],
+        hops: Iterable[Hop],
     ) -> None:
         """Carry each ``(proc, target, tuples)`` hop in turn.
 
         Bound for another processor (or, ``proc`` ``None``, the results
-        of query ``target``), the tuples ride that destination's sender
-        — a relay like any fragment's.
+        of query ``target``), the tuples ride that destination's sender.
         A fragment of this processor runs inline, and the hops its
         out-edge routes the outputs to are delivered before the next.
         """

@@ -230,7 +230,8 @@ class LiveDataflow:
         """(Re)load one entity's execution tables from its hosting model.
 
         The single writer of the processors' ``fragments`` /
-        ``downstream`` / ``head_routes`` tables: the wiring is derived
+        ``downstream`` / ``head_routes`` tables (and of the ``heads``
+        intake each processor derives from them): the wiring is derived
         afresh (:func:`~repro.core.wiring.derive_wiring`) and swapped in
         *in place* — the tables are shared with the running tasks — so
         an online change is "edit the model, call this".  The swap is
@@ -261,6 +262,8 @@ class LiveDataflow:
                 table.update(derived)
         head_routes.clear()
         head_routes.update(wiring.head_routes)
+        for task in tasks:
+            task.load_heads()
 
     def all_channels(self) -> list[LiveChannel]:
         """Every channel of the dataflow (inboxes, LAN, results)."""

@@ -2,8 +2,8 @@
 
 The compiled kernel must be indistinguishable from the interpreted
 ``StreamInterest.matches_values`` on every input — multi-interval
-constraints, empty sets, missing attributes — and the cache must hand
-the same function back for shape-equal interests.
+constraints, empty sets, missing or ``None`` attributes, NaN — and the
+cache must hand the same function back for shape-equal interests.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from repro.interest.compiled import (
     cache_info,
     cache_size,
     clear_cache,
-    compile_batch_filter,
     compile_interest,
+    compile_selector,
     interest_key,
 )
 from repro.interest.predicates import Interval, IntervalSet, StreamInterest
@@ -55,7 +55,8 @@ def interests(draw):
 
 @st.composite
 def value_dicts(draw):
-    """Random tuple value dicts, sometimes missing constrained names."""
+    """Random tuple value dicts, sometimes missing constrained names or
+    carrying ``None``, NaN or an infinity."""
     names = draw(
         st.lists(
             st.sampled_from(["price", "volume", "sym", "x", "extra"]),
@@ -64,7 +65,8 @@ def value_dicts(draw):
             unique=True,
         )
     )
-    return {name: draw(finite) for name in names}
+    odd = st.sampled_from([None, float("nan"), float("inf"), float("-inf")])
+    return {name: draw(finite | odd) for name in names}
 
 
 @settings(max_examples=200, deadline=None)
@@ -87,14 +89,14 @@ def test_interval_set_bisect_contains(ivs, value):
 @settings(max_examples=50, deadline=None)
 @given(interest=interests(), values=st.lists(value_dicts(), max_size=10))
 def test_batch_filter_matches_per_tuple(interest, values):
-    """compile_batch_filter keeps exactly the per-tuple survivors."""
+    """A one-interest selector keeps exactly the per-tuple survivors."""
     batch = [
         StreamTuple("s", seq, 0.0, vals, 64.0)
         for seq, vals in enumerate(values)
     ]
-    keep = compile_batch_filter(interest)
+    (kept,) = compile_selector([interest])(batch)
     expected = [t for t in batch if interest.matches_values(t.values)]
-    assert keep(batch) == expected
+    assert kept == expected
 
 
 def test_cache_returns_same_kernel_for_equal_shape():
@@ -112,7 +114,7 @@ def test_cache_returns_same_kernel_for_equal_shape():
 
 def test_compiled_kernel_exposes_source():
     """Kernels carry their generated source for debugging/inspection."""
-    match = StreamInterest.on("s", price=(10.0, 50.0)).compiled()
+    match = compile_interest(StreamInterest.on("s", price=(10.0, 50.0)))
     assert "def _match" in match.__source__
     assert match({"price": 20.0})
     assert not match({"price": 9.0})
@@ -125,6 +127,19 @@ def test_empty_constraint_rejects_present_attribute():
     assert match({}) == interest.matches_values({})
     assert match({"price": 1.0}) == interest.matches_values({"price": 1.0})
     assert not match({"price": 1.0})
+
+
+def test_none_valued_attribute_counts_as_absent():
+    """``None`` passes every constraint, as in ``matches_values`` —
+    including an empty one; NaN passes none, multi-interval included."""
+    two = IntervalSet([Interval(1.0, 2.0), Interval(4.0, 5.0)])
+    for ivs in (IntervalSet.single(1.0, 2.0), IntervalSet(), two):
+        interest = StreamInterest("s", {"p": ivs})
+        match = compile_interest(interest)
+        assert interest.matches_values({"p": None})
+        assert match({"p": None})
+        assert not interest.matches_values({"p": float("nan")})
+        assert not match({"p": float("nan")})
 
 
 def test_cache_info_counts_hits_misses():

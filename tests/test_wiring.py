@@ -231,6 +231,9 @@ class StubFragment:
     def cost_for_batch(self, batch):
         return 0.0
 
+    def leading_selection(self, stream_id):
+        return None  # selects nothing ahead: intake runs it whole
+
     def run_batch(self, batch, now):
         self.log.extend((self.proc, self.fragment_id, tup) for tup in batch)
         return self.outputs
@@ -372,6 +375,7 @@ def intake(proc_id, target, run, routes=HEAD_ROUTES):
                 if host == proc_id
             }
         )
+        proc.load_heads()
         await proc._execute_batch([(target, tup) for tup in run])
         return log
 
