@@ -65,27 +65,25 @@ def run_leg(parallelism: int, key_counts=None):
     if key_counts:
         for query_id, router in routers(system):
             router.repartition(router.spec.rebalanced(key_counts[query_id]))
-    observed: set = set()
-    last = [0.0]
-
-    def wrap(handler):
-        def wrapped(query_id, tup):
-            observed.add((query_id, tup.stream_id, tup.seq))
-            last[0] = max(last[0], system.sim.now)
-            handler(query_id, tup)
-
-        return wrapped
-
-    for entity in system.entities.values():
-        if entity.result_handler is not None:
-            entity.result_handler = wrap(entity.result_handler)
+    results = system.collect_results()
     system.run(duration=DURATION)
-    system.sim.run()  # drain the saturated stage completely
+    # Drain the saturated stage completely, event by event: the
+    # makespan ends with the last result.
+    makespan, delivered = 0.0, 0
+    while system.sim.step():
+        count = sum(map(len, results.values()))
+        if count > delivered:
+            makespan, delivered = system.sim.now, count
     counts = {
         query_id: dict(router.key_counts)
         for query_id, router in routers(system)
     }
-    return observed, last[0], counts
+    keys = {
+        (query_id, tup.stream_id, tup.seq)
+        for query_id, tuples in results.items()
+        for tup in tuples
+    }
+    return keys, makespan, counts
 
 
 def test_partitioned_aggregate_speedup():

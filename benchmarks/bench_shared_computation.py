@@ -46,18 +46,7 @@ def run_leg(overlap: float, shared: bool):
     )
     system = FederatedSystem(catalog, replace(config, shared_execution=shared))
     system.submit(queries)
-    observed: set = set()
-
-    def wrap(handler):
-        def wrapped(query_id, tup):
-            observed.add((query_id, tup.stream_id, tup.seq))
-            handler(query_id, tup)
-
-        return wrapped
-
-    for entity in system.entities.values():
-        if entity.result_handler is not None:
-            entity.result_handler = wrap(entity.result_handler)
+    results = system.collect_results()
     system.run(duration=DURATION)
     system.sim.run()  # drain every queued tuple
     cpu = sum(
@@ -66,7 +55,12 @@ def run_leg(overlap: float, shared: bool):
         for proc in entity.processors.values()
     )
     groups = sum(len(entity.shared) for entity in system.entities.values())
-    return observed, cpu, groups
+    keys = {
+        (query_id, tup.stream_id, tup.seq)
+        for query_id, tuples in results.items()
+        for tup in tuples
+    }
+    return keys, cpu, groups
 
 
 def test_shared_computation_cpu_per_result():

@@ -571,7 +571,6 @@ def run_sharing_smoke(
     from dataclasses import replace as _replace
 
     from repro.core.system import FederatedSystem
-    from repro.live.runtime import LiveDataflow
     from repro.workloads import sharing_workload
 
     catalog, config, queries = sharing_workload(seed)
@@ -581,21 +580,14 @@ def run_sharing_smoke(
             catalog, _replace(config, shared_execution=shared)
         )
         system.submit(queries)
-        observed: set[tuple[str, str, int]] = set()
-
-        def wrap(handler):
-            def wrapped(query_id, tup):
-                observed.add((query_id, tup.stream_id, tup.seq))
-                handler(query_id, tup)
-
-            return wrapped
-
-        for entity in system.entities.values():
-            if entity.result_handler is not None:
-                entity.result_handler = wrap(entity.result_handler)
+        results = system.collect_results()
         system.run(duration=duration)
         system.sim.run()
-        return system, observed
+        return system, {
+            (query_id, tup.stream_id, tup.seq)
+            for query_id, tuples in results.items()
+            for tup in tuples
+        }
 
     shared_system, shared_keys = run(True)
     __, unshared_keys = run(False)

@@ -177,6 +177,7 @@ class FederatedSystem:
         self._query_index: dict[str, QuerySpec] = {}
         self._entity_counter = config.entity_count
         self.rehomed_queries = 0
+        self.results: dict[str, list[StreamTuple]] | None = None
 
         self.monitoring = None
         if config.monitoring_interval is not None:
@@ -354,8 +355,19 @@ class FederatedSystem:
                 )
             )
 
+    def collect_results(self) -> dict[str, list[StreamTuple]]:
+        """Keep every result from now on, per query, in the dict this
+        returns — the shape of the live and distributed legs'
+        ``results``.  Off until asked for, so a long simulation holds no
+        result tuple."""
+        if self.results is None:
+            self.results = {}
+        return self.results
+
     def _deliver_result(self, query_id: str, tup: StreamTuple) -> None:
         """Ship a result from its entity's gateway to the client node."""
+        if self.results is not None:
+            self.results.setdefault(query_id, []).append(tup)
         entity_id = self.allocation_result.assignment.get(query_id)
         if entity_id is None:
             return  # the query was withdrawn while results were in flight

@@ -133,9 +133,10 @@ def run_distributed_smoke(
 ) -> list[InvariantViolation]:
     """Run a tiny federation and audit it (``repro check --distributed``).
 
-    Uses the same workload shape as the parity suite, scaled down so the
-    smoke check stays fast, and cross-checks the distributed result set
-    against the deterministic simulator on the same seed.
+    Runs ``parity_workload``, scaled down so the smoke check stays fast,
+    and fails on an audit violation or an empty result set; that the
+    results equal the simulator's is the differential matrix's claim
+    (``tests/test_differential.py``).
     """
     from repro.distributed.coordinator import DistributedCoordinator
     from repro.live.runtime import LiveSettings

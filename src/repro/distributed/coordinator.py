@@ -7,8 +7,8 @@ runs a small control protocol over one TCP connection per worker:
 handshake and assignment, a probe loop for federation-wide termination
 detection, and final metrics collection.  Result tuples stream in as
 binary RESULT frames during the run, so the coordinator ends up with
-the exact federation-level result set — what the sim-vs-live-vs-
-distributed parity suite compares.
+the exact federation-level result set — what the differential matrix
+(``tests/test_differential.py``) compares with the simulator's.
 
 Termination detection is the classic counting scheme: the federation
 is quiescent when every worker's feeds have finished, no worker has

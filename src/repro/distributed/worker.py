@@ -51,7 +51,7 @@ class RelayCollector(ResultCollector):
     Latency is recorded worker-side (against the worker's virtual
     clock, like a single-process run); the relayed frames give the
     coordinator the actual result tuples for the federation-level
-    result set and the parity suites.
+    result set and the differential matrix.
     """
 
     def __init__(self, channel, tracker, metrics, clock, conn) -> None:

@@ -21,9 +21,9 @@ Stream Joins in a Shared-Nothing Cluster* mapped onto our fragments:
   releases them in the router's global ticket order, renumbering stage
   outputs with one global sequence counter, so the merged stream is
   bit-identical to the single-fragment operator's;
-* :class:`PartitionedOperator` — the synchronous in-process composition
-  of all of the above, the drop-in the equivalence property suite runs
-  against the plain operator.
+* :class:`PartitionedOperator` — one stage's deployment of all of the
+  above (:func:`split_stage`), run synchronously in place: the drop-in
+  the equivalence property suites hold to the plain operator.
 
 The protocol is deliberately in-band: every schedule, flush, and ack
 marker is an ordinary :class:`~repro.streams.tuples.StreamTuple`, so
@@ -590,85 +590,32 @@ def redistribute_state(
             )
 
 
-class PartitionedOperator(Operator):
-    """The synchronous composition: router → stages → merge, in place.
-
-    Drop-in replacement for the wrapped operator with identical
-    observable behaviour (the equivalence property suite asserts
-    bit-identical outputs and stats).  Also the unit the rebalance
-    property tests drive mid-stream.
-    """
-
-    def __init__(self, inner: Operator, spec: PartitionSpec) -> None:
-        if stage_kind(inner) is None:
-            raise TypeError(f"{inner!r} is not a partitionable stage")
-        super().__init__(
-            inner.name,
-            cost_per_tuple=inner.cost_per_tuple,
-            estimated_selectivity=inner.estimated_selectivity,
-        )
-        self.spec = spec
-        self.router = PartitionRouter.for_operator(inner, spec)
-        self.stages = [
-            PartitionStageOperator(inner.clone(), index, spec.parts)
-            for index in range(spec.parts)
-        ]
-        group_by = (
-            inner.group_by
-            if isinstance(inner, WindowAggregateOperator)
-            else None
-        )
-        self.merge = MergeStageOperator(
-            inner.name, spec.parts, group_by=group_by
-        )
-
-    def process_batch(
-        self, batch: list[StreamTuple], now: float
-    ) -> list[StreamTuple]:
-        merge = self.merge.process_batch
-        out: list[StreamTuple] = []
-        for tup in batch:
-            for dest, event in self.router.route(tup):
-                produced = [event]
-                if dest != PartitionRouter.MERGE:
-                    produced = self.stages[dest].process_batch(produced, now)
-                out.extend(merge(produced, now))
-        return out
-
-    def rebalance(self) -> PartitionSpec:
-        """Install a skew-correcting spec and move clone state over."""
-        spec = self.router.spec.rebalanced(self.router.key_counts)
-        redistribute_state(self.stages, spec)
-        self.router.repartition(spec)
-        self.spec = spec
-        return spec
-
-    def reset_state(self) -> None:
-        self.router.reset()
-        for stage in self.stages:
-            stage.reset_state()
-        self.merge.reset_state()
-
-
 # ----------------------------------------------------------------------
 # Plan-level deployment
 # ----------------------------------------------------------------------
 @dataclass
 class PartitionedDeployment:
-    """A query's partition-parallel fragment layout plus live hooks."""
+    """A query's partition-parallel fragment layout plus live hooks.
+
+    ``pre`` is the fragment the router runs behind; it is ``None`` only
+    in the synchronous :class:`PartitionedOperator`, which feeds the
+    router itself (a hosted query always has one, see
+    :func:`partitionable_stage`).
+    """
 
     query_id: str
     kind: str
     spec: PartitionSpec
     router: PartitionRouter
-    pre: Fragment
+    pre: Fragment | None
     parts: list[Fragment] = field(default_factory=list)
     merge: Fragment | None = None
 
     @property
     def fragments(self) -> list[Fragment]:
-        """All fragments in order: pre, partitions, merge."""
-        return [self.pre, *self.parts, self.merge]
+        """All fragments in order: pre (if any), partitions, merge."""
+        head = [] if self.pre is None else [self.pre]
+        return [*head, *self.parts, self.merge]
 
     @property
     def stages(self) -> list[PartitionStageOperator]:
@@ -723,8 +670,6 @@ def plan_partitioned(
     key = (
         op.attribute if kind == JOIN_STAGE else op.group_by  # type: ignore[union-attr]
     )
-    spec = PartitionSpec(key=key, parts=parallelism, scheme=scheme)
-    router = PartitionRouter.for_operator(op, spec)
     query_id = plan.query_id
     pre = Fragment(
         fragment_id=f"{query_id}#f0",
@@ -732,14 +677,37 @@ def plan_partitioned(
         index=0,
         operators=plan.operators[:index],
     )
+    return split_stage(
+        query_id,
+        op,
+        PartitionSpec(key=key, parts=parallelism, scheme=scheme),
+        pre=pre,
+        post=plan.operators[index + 1:],
+    )
+
+
+def split_stage(
+    query_id: str,
+    op: Operator,
+    spec: PartitionSpec,
+    *,
+    pre: Fragment | None = None,
+    post: list[Operator] | None = None,
+) -> PartitionedDeployment:
+    """Deploy ``op`` split by ``spec``: a router behind ``pre``, one
+    partition fragment per part, and a merge fragment that ``post``
+    (the rest of the plan) follows."""
+    kind = stage_kind(op)
+    if kind is None:
+        raise TypeError(f"{op!r} is not a partitionable stage")
     parts = [
         Fragment(
             fragment_id=f"{query_id}#p{i}",
             query_id=query_id,
             index=i + 1,
-            operators=[PartitionStageOperator(op.clone(), i, parallelism)],
+            operators=[PartitionStageOperator(op.clone(), i, spec.parts)],
         )
-        for i in range(parallelism)
+        for i in range(spec.parts)
     ]
     group_by = (
         op.group_by if isinstance(op, WindowAggregateOperator) else None
@@ -747,18 +715,63 @@ def plan_partitioned(
     merge = Fragment(
         fragment_id=f"{query_id}#m",
         query_id=query_id,
-        index=parallelism + 1,
+        index=spec.parts + 1,
         operators=[
-            MergeStageOperator(op.name, parallelism, group_by=group_by),
-            *plan.operators[index + 1:],
+            MergeStageOperator(op.name, spec.parts, group_by=group_by),
+            *(post or ()),
         ],
     )
     return PartitionedDeployment(
         query_id=query_id,
         kind=kind,
         spec=spec,
-        router=router,
+        router=PartitionRouter.for_operator(op, spec),
         pre=pre,
         parts=parts,
         merge=merge,
     )
+
+
+class PartitionedOperator(Operator):
+    """One stage's :class:`PartitionedDeployment`, run synchronously in
+    place of the plain operator.
+
+    Every routed event goes straight to its partition fragment and every
+    fragment output straight to the merge fragment, and :meth:`rebalance`
+    is the deployment's own — so the equivalence property suites hold
+    the shipped router, stages, merge and rebalance to the plain
+    operator's outputs and stats.
+    """
+
+    def __init__(self, inner: Operator, spec: PartitionSpec) -> None:
+        deployment = split_stage(inner.name, inner, spec)
+        super().__init__(
+            inner.name,
+            cost_per_tuple=inner.cost_per_tuple,
+            estimated_selectivity=inner.estimated_selectivity,
+        )
+        self.deployment = deployment
+
+    def process_batch(
+        self, batch: list[StreamTuple], now: float
+    ) -> list[StreamTuple]:
+        route = self.deployment.router.route
+        parts = self.deployment.parts
+        merge = self.deployment.merge.run_batch
+        out: list[StreamTuple] = []
+        for tup in batch:
+            for dest, event in route(tup):
+                produced = [event]
+                if dest != PartitionRouter.MERGE:
+                    produced = parts[dest].run_batch(produced, now)
+                out.extend(merge(produced, now))
+        return out
+
+    def rebalance(self) -> bool:
+        """The skew rebalance the adaptation loop runs; True if changed."""
+        return self.deployment.rebalance()
+
+    def reset_state(self) -> None:
+        self.deployment.router.reset()
+        for fragment in self.deployment.fragments:
+            fragment.reset_state()

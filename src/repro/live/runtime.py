@@ -80,8 +80,9 @@ class LiveSettings:
             channel before it counts as failed.
         max_retries: Retry budget per send; an exhausted budget drops
             the batch (surfaced as metrics, never an exception).
-        backoff_base / backoff_factor / backoff_max: Exponential
-            retry backoff schedule (wall seconds, seeded jitter).
+        backoff_base / backoff_max: Exponential retry backoff schedule
+            (wall seconds, seeded jitter, growth
+            :data:`~repro.live.transport.BACKOFF_FACTOR`).
     """
 
     duration: float = 5.0
@@ -93,7 +94,6 @@ class LiveSettings:
     send_timeout: float = 0.25
     max_retries: int = 3
     backoff_base: float = 0.005
-    backoff_factor: float = 2.0
     backoff_max: float = 0.25
 
     def __post_init__(self) -> None:
@@ -425,7 +425,6 @@ class LiveRuntime:
             send_timeout=settings.send_timeout,
             max_retries=settings.max_retries,
             backoff_base=settings.backoff_base,
-            backoff_factor=settings.backoff_factor,
             backoff_max=settings.backoff_max,
         )
 
@@ -570,9 +569,9 @@ class LiveRuntime:
         ChannelClosed path.  The contract is therefore staged: a tier's
         output channels are closed only *after* the tier above it has
         fully exited, so whatever a task drains post-close still has a
-        live downstream to flush into.  The parity suites assert the
-        consequence: zero drops and zero residual depth on every
-        channel after a clean run.
+        live downstream to flush into.  The differential matrix and the
+        live runtime tests assert the consequence: zero drops and zero
+        residual depth on every channel after a clean run.
         """
         for entity_id in sorted(flow.inboxes):
             await flow.inboxes[entity_id].close()

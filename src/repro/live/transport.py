@@ -28,6 +28,9 @@ from collections.abc import Awaitable, Iterable
 from repro.live.channels import Batcher, ChannelClosed, LiveChannel
 from repro.live.metrics import TransportStats
 
+# Growth of the retry backoff per attempt.
+BACKOFF_FACTOR = 2.0
+
 
 class TransportChaos:
     """Interface the chaos layer implements to disturb sends.
@@ -94,8 +97,8 @@ class LiveTransport:
         rng: Seeded generator for backoff jitter (reproducible runs).
         send_timeout: Wall seconds one put attempt may block.
         max_retries: Re-attempts after the first failed put.
-        backoff_base / backoff_factor / backoff_max: Exponential
-            backoff schedule in wall seconds.
+        backoff_base / backoff_max: Exponential backoff schedule in
+            wall seconds, growing by ``BACKOFF_FACTOR`` per attempt.
     """
 
     def __init__(
@@ -107,7 +110,6 @@ class LiveTransport:
         send_timeout: float = 0.25,
         max_retries: int = 3,
         backoff_base: float = 0.005,
-        backoff_factor: float = 2.0,
         backoff_max: float = 0.25,
     ) -> None:
         self.stats = stats
@@ -116,7 +118,6 @@ class LiveTransport:
         self.send_timeout = send_timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
         self.backoff_max = backoff_max
         # Installed by the chaos harness; None in normal runs.
         self.chaos: TransportChaos | None = None
@@ -124,7 +125,7 @@ class LiveTransport:
     # ------------------------------------------------------------------
     def backoff_delay(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (jittered, capped)."""
-        base = self.backoff_base * (self.backoff_factor ** attempt)
+        base = self.backoff_base * (BACKOFF_FACTOR ** attempt)
         jitter = 1.0 + self.rng.uniform(0.0, 0.5)
         return min(self.backoff_max, base * jitter)
 

@@ -76,8 +76,8 @@ def network_monitoring_scenario(
 def parity_workload(seed: int = 0, *, rate: float = 40.0):
     """The cross-runtime parity workload: stateless selections only.
 
-    Used by the sim/live/distributed parity suites and the distributed
-    smoke audit: selection results carry no timestamps, so all three
+    The differential matrix's ``plain`` plan and the distributed smoke
+    audit: selection results carry no timestamps, so all three
     execution modes must deliver the *identical* result-tuple set on
     the same seed.  Returns ``(catalog, config, queries)``.
     """

@@ -1,10 +1,11 @@
-"""Distributed runtime: placement, links, smoke run, and parity.
+"""Distributed runtime: placement, links, audits, credits and deltas.
 
 Fast tests cover the pure pieces (placement maps, report merging, the
-link/drain/ledger audits, credit-gate semantics) plus one single-worker
-federation smoke run — real subprocess, real sockets, no peer mesh.
-The multi-worker parity runs (real cross-worker BATCH/CREDIT traffic)
-are marked ``slow`` alongside the parity sweep's distributed leg.
+link/drain/ledger audits, credit-gate semantics) plus single-worker
+federation runs — real subprocess, real sockets, no peer mesh.  That
+the distributed leg returns the simulator's results, across workers,
+is ``test_differential.py``'s claim; the slow four-worker run here
+holds a shorter run to its oracle.
 """
 
 from __future__ import annotations
@@ -19,51 +20,26 @@ from repro.distributed import (
     DistributedCoordinator,
     audit_distributed_run,
     cross_worker_links,
-    entity_loads,
     merge_reports,
     place_entities,
     place_feeds,
 )
 from repro.live import LiveSettings
 from repro.workloads import parity_workload
+from tests.test_differential import assert_matches_reference
 
 DURATION = 0.8
 
 
-def make_coordinator(seed, workers, duration=DURATION):
-    catalog, config, queries = parity_workload(seed)
+def make_coordinator(seed, workers, duration=DURATION, queries=None):
+    catalog, config, planned = parity_workload(seed)
     return DistributedCoordinator(
         catalog,
         config,
-        queries,
+        planned if queries is None else queries,
         LiveSettings(duration=duration, batch_size=4),
         workers=workers,
     )
-
-
-def simulated_keys(seed, duration=DURATION):
-    catalog, config, queries = parity_workload(seed)
-    return _sim_keys(catalog, config, queries, duration)
-
-
-def _sim_keys(catalog, config, queries, duration):
-    system = FederatedSystem(catalog, config)
-    system.submit(queries)
-    observed = set()
-
-    def wrap(handler):
-        def wrapped(query_id, tup):
-            observed.add((query_id, tup.stream_id, tup.seq))
-            handler(query_id, tup)
-
-        return wrapped
-
-    for entity in system.entities.values():
-        if entity.result_handler is not None:
-            entity.result_handler = wrap(entity.result_handler)
-    system.run(duration=duration)
-    system.sim.run()  # drain in-flight tuples
-    return observed
 
 
 def distributed_keys(coordinator):
@@ -324,16 +300,6 @@ def test_remote_outbox_try_put_ships_exactly_like_put():
 # ----------------------------------------------------------------------
 # Federation runs (subprocess + sockets)
 # ----------------------------------------------------------------------
-def test_single_worker_smoke_matches_simulator():
-    coordinator = make_coordinator(seed=7, workers=1)
-    report = coordinator.run()
-    assert report.results > 0
-    assert report.dropped_tuples == 0
-    assert report.negative_latency_samples == 0
-    assert coordinator.violations == []
-    assert distributed_keys(coordinator) == simulated_keys(7)
-
-
 def test_coordinator_is_single_use():
     coordinator = make_coordinator(seed=7, workers=1, duration=0.3)
     coordinator.run()
@@ -342,16 +308,10 @@ def test_coordinator_is_single_use():
 
 
 @pytest.mark.slow
-def test_two_worker_parity_and_audit():
-    coordinator = make_coordinator(seed=11, workers=2)
-    report = coordinator.run()
-    assert coordinator.violations == []
-    assert report.dropped_tuples == 0
-    assert distributed_keys(coordinator) == simulated_keys(11)
-
-
-@pytest.mark.slow
 def test_four_worker_parity_exercises_cross_links():
+    """Four workers on a run shorter than the matrix's: the placement
+    needs cross-worker links, batches cross them, and the results are
+    the simulator's."""
     coordinator = make_coordinator(seed=7, workers=4)
     report = coordinator.run()
     assert coordinator.required_links  # entities spread across workers
@@ -361,7 +321,9 @@ def test_four_worker_parity_exercises_cross_links():
         m["sent"] for m in coordinator.worker_metrics.values()
     )
     assert total_sent > 0  # batches really crossed sockets
-    assert distributed_keys(coordinator) == simulated_keys(7)
+    assert_matches_reference(
+        "plain", 7, coordinator.results, duration=DURATION
+    )
 
 
 # ----------------------------------------------------------------------
@@ -424,39 +386,26 @@ def _extra_query():
     )
 
 
-def make_delta_coordinator(seed, workers, duration=DURATION):
-    catalog, config, queries = parity_workload(seed)
-    coordinator = DistributedCoordinator(
-        catalog,
-        config,
-        queries,
-        LiveSettings(duration=duration, batch_size=4),
-        workers=workers,
-    )
-    coordinator.admit_query(_extra_query())
-    coordinator.retire_query("q1")
-    return coordinator
-
-
-def effective_keys(seed, duration=DURATION):
-    """Simulator keys for the post-delta query set (q1 out, q6 in)."""
-    catalog, config, queries = parity_workload(seed)
-    effective = [q for q in queries if q.query_id != "q1"]
-    effective.append(_extra_query())
-    return _sim_keys(catalog, config, effective, duration)
-
-
-def test_delta_shipping_matches_simulator_of_effective_set():
+@pytest.mark.parametrize(
+    "workers", [1, pytest.param(2, marks=pytest.mark.slow)]
+)
+def test_deltas_deliver_what_the_effective_set_delivers(workers):
     """Deltas shipped as ADMIT/RETIRE frames after ASSIGN make every
-    process re-derive the same effective query set: results match a
-    simulator run of that set, the retired query is silent, the
-    admitted one delivers."""
-    coordinator = make_delta_coordinator(seed=7, workers=1)
-    report = coordinator.run()
+    process re-derive the same effective query set: the results are
+    those of shipping that set in ASSIGN itself, the retired query is
+    silent and the admitted one delivers."""
+    delta = make_coordinator(seed=7, workers=workers)
+    delta.admit_query(_extra_query())
+    delta.retire_query("q1")
+    report = delta.run()
     assert report.dropped_tuples == 0
-    assert coordinator.violations == []
-    keys = distributed_keys(coordinator)
-    assert keys == effective_keys(7)
+    assert delta.violations == []
+    __, __, queries = parity_workload(7)
+    effective = [q for q in queries if q.query_id != "q1"] + [_extra_query()]
+    whole = make_coordinator(seed=7, workers=workers, queries=effective)
+    whole.run()
+    keys = distributed_keys(delta)
+    assert keys == distributed_keys(whole)
     delivered = {query_id for query_id, __, __seq in keys}
     assert "q1" not in delivered
     assert "q6" in delivered
@@ -485,14 +434,3 @@ def test_delta_spec_rejects_unknown_action():
 
     with pytest.raises(ValueError):
         delta_to_spec("vaporize", {"query_id": "q0"})
-
-
-@pytest.mark.slow
-def test_two_worker_delta_parity_both_transports():
-    """Deltas survive the real multi-process path: two workers, real
-    sockets, identical effective result sets."""
-    coordinator = make_delta_coordinator(seed=11, workers=2)
-    report = coordinator.run()
-    assert coordinator.violations == []
-    assert report.dropped_tuples == 0
-    assert distributed_keys(coordinator) == effective_keys(11)

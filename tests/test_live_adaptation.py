@@ -4,8 +4,10 @@ The static planner allocates once from catalog rates; these tests drive
 a drifting-rate trace through both the static :class:`LiveRuntime` and
 one running the :class:`Adaptation` service and check the loop's contract: load
 observed from the monitor drives repartitioning, queries migrate
-online, and the pause → drain → transfer → resume protocol neither
-loses nor duplicates a single result tuple.
+online and relieve the hot entity, and every migrating round passes
+its structural audit.  That the pause → drain → transfer → resume
+protocol neither loses nor duplicates a result tuple is the migrated
+column of ``test_differential.py``.
 """
 
 from __future__ import annotations
@@ -72,14 +74,6 @@ def build_runtime(strategy=None):
     return runtime
 
 
-def key_set(results):
-    return {
-        (query_id, tup.stream_id, tup.seq)
-        for query_id, tups in results.items()
-        for tup in tups
-    }
-
-
 @pytest.fixture(scope="module")
 def static_and_adaptive():
     static = build_runtime(None)
@@ -87,17 +81,6 @@ def static_and_adaptive():
     adaptive = build_runtime("hybrid")
     adaptive_report = adaptive.run()
     return static, static_report, adaptive, adaptive_report
-
-
-def test_migration_is_exactly_once(static_and_adaptive):
-    """Same trace, same results: nothing lost or duplicated across
-    pause → drain → transfer → resume cycles."""
-    static, static_report, adaptive, adaptive_report = static_and_adaptive
-    assert adaptive_report.adaptation is not None
-    assert adaptive_report.adaptation.queries_migrated > 0
-    assert key_set(adaptive.results) == key_set(static.results)
-    assert static_report.dropped_tuples == 0
-    assert adaptive_report.dropped_tuples == 0
 
 
 def test_adaptation_reduces_hot_entity_load(static_and_adaptive):

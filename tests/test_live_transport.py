@@ -44,7 +44,6 @@ def make_transport(chaos=None, **overrides):
         send_timeout=0.01,
         max_retries=2,
         backoff_base=0.001,
-        backoff_factor=2.0,
         backoff_max=0.01,
     )
     defaults.update(overrides)
@@ -267,9 +266,7 @@ def test_send_to_closed_channel_drops_without_retry_storm():
 
 
 def test_backoff_schedule_is_capped_and_grows():
-    transport = make_transport(
-        backoff_base=0.01, backoff_factor=2.0, backoff_max=0.05
-    )
+    transport = make_transport(backoff_base=0.01, backoff_max=0.05)
     delays = [transport.backoff_delay(a) for a in range(6)]
     assert all(d <= 0.05 for d in delays)
     assert delays[1] > delays[0]  # grows before the cap bites

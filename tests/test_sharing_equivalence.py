@@ -9,12 +9,13 @@ interleaving.  Hypothesis drives random overlap-controlled query
 batches and tuple sequences through the synchronous composition and
 compares exactly — including runs where a member is split out of its
 group mid-stream (the adaptation protocol's migration case), which
-must be invisible in the output.
+must be invisible in the output.  Whole shared federations, static,
+migrated and churned, are the ``shared`` row of
+``test_differential.py``.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.plan import Fragment
@@ -267,130 +268,3 @@ def test_grouping_is_sound(specs):
 def test_group_ids_are_deterministic():
     assert group_id_for(("q7", "q2", "q11")) == "sh.q11"
 
-
-def _result_keys(system):
-    observed = set()
-
-    def wrap(handler):
-        def wrapped(query_id, tup):
-            observed.add((query_id, tup.stream_id, tup.seq))
-            handler(query_id, tup)
-
-        return wrapped
-
-    for entity in system.entities.values():
-        if entity.result_handler is not None:
-            entity.result_handler = wrap(entity.result_handler)
-    return observed
-
-
-@pytest.mark.parametrize("seed", [1, 9])
-def test_sim_shared_run_matches_unshared(seed):
-    """End-to-end: a shared-execution sim run delivers the identical
-    result set as an unshared run, forms at least one group, and passes
-    the sharing structural audit."""
-    from dataclasses import replace
-
-    from repro.analysis.invariants import audit_federation
-    from repro.core.system import FederatedSystem
-    from repro.workloads import sharing_workload
-
-    catalog, config, queries = sharing_workload(seed)
-    keys = {}
-    systems = {}
-    for shared in (False, True):
-        system = FederatedSystem(
-            catalog, replace(config, shared_execution=shared)
-        )
-        system.submit(queries)
-        observed = _result_keys(system)
-        system.run(duration=2.0)
-        system.sim.run()
-        keys[shared], systems[shared] = observed, system
-    assert keys[True] == keys[False]
-    assert keys[True]
-    assert audit_federation(systems[True]) == []
-    assert sum(
-        len(entity.shared) for entity in systems[True].entities.values()
-    ) >= 1
-
-
-def test_live_shared_run_matches_unshared_sim():
-    """End-to-end live leg: shared live execution reproduces the
-    unshared simulated result set exactly."""
-    from dataclasses import replace
-
-    from repro.core.system import FederatedSystem
-    from repro.live import LiveRuntime, LiveSettings
-    from repro.workloads import sharing_workload
-
-    catalog, config, queries = sharing_workload(4)
-    system = FederatedSystem(catalog, replace(config, shared_execution=False))
-    system.submit(queries)
-    observed = _result_keys(system)
-    system.run(duration=1.5)
-    system.sim.run()
-
-    runtime = LiveRuntime(
-        catalog, config, LiveSettings(duration=1.5, batch_size=4)
-    )
-    runtime.submit(queries)
-    report = runtime.run()
-    assert report.dropped_tuples == 0
-    live_keys = {
-        (query_id, tup.stream_id, tup.seq)
-        for query_id, tups in runtime.results.items()
-        for tup in tups
-    }
-    assert live_keys == observed
-    assert sum(
-        len(entity.shared) for entity in runtime.planner.entities.values()
-    ) >= 1
-
-
-def test_adaptive_split_preserves_results():
-    """A shared group member migrating mid-run (split under the closed
-    gate, re-share at source and target) is invisible in results."""
-    from dataclasses import replace
-
-    from repro.core.system import FederatedSystem
-    from repro.live import (
-        Adaptation,
-        AdaptationSettings,
-        LiveRuntime,
-        LiveSettings,
-    )
-    from repro.workloads import sharing_workload
-
-    catalog, config, queries = sharing_workload(3)
-    system = FederatedSystem(catalog, replace(config, shared_execution=False))
-    system.submit(queries)
-    observed = _result_keys(system)
-    system.run(duration=2.5)
-    system.sim.run()
-
-    runtime = LiveRuntime(
-        catalog,
-        config,
-        LiveSettings(duration=2.5, batch_size=4),
-        services=[
-            Adaptation(
-                AdaptationSettings(
-                    period=0.5, imbalance_threshold=1.01, max_imbalance=1.0
-                )
-            )
-        ],
-    )
-    runtime.submit(queries)
-    report = runtime.run()
-    adaptation = report.adaptation
-    assert adaptation.queries_migrated >= 1
-    assert adaptation.reshares >= 1
-    assert adaptation.audit_violations == 0
-    assert adaptation.sharing.shared_fragments >= 1
-    live_keys = {
-        (query_id, tup.stream_id, tup.seq)
-        for query_id, tups in runtime.results.items()
-        for tup in tups
-    }
-    assert live_keys == observed
