@@ -12,9 +12,9 @@ of hooks:
   points — the blocking ``put`` enqueues through ``try_put``, so it
   needs no hook of its own;
 * **serialized sections** — the control plane's synchronous mutation
-  blocks (transfer, register, retire, reshare, rebalance, abort
-  repair) run atomically on the single-threaded loop, so they chain
-  through one shared token in observed order;
+  blocks (the planner's lifecycle edits, the live rewire that loads
+  them, rebalance, abort repair) run atomically on the single-threaded
+  loop, so they chain through one shared token in observed order;
 * **tracked state** — the shared dicts migration can corrupt (head
   routes and the intake derived from them, fragment/downstream tables,
   hosted/sharing maps, delegation tables, partition specs) are wrapped
@@ -188,23 +188,12 @@ def install_runtime_instrumentation(monitor: HBMonitor, runtime: LiveRuntime, fl
 
     # -- serialized control-plane mutation sections -------------------
     token = object()
-    if adaptation is not None:
-        migrator = adaptation.migrator
-        for name in (
-            "_transfer",
-            "register_query",
-            "retire_query",
-            "reshare",
-            "_reshare_entity",
-            "refresh_trees",
-            "_refresh_trees",
-            "_abort_repair",
-        ):
-            _wrap_serialized(migrator, name, monitor, token)
     planner = runtime.planner
-    for name in ("adopt_query", "drop_query"):
-        if hasattr(planner, name):
-            _wrap_serialized(planner, name, monitor, token)
+    for name in ("edit", "settle"):
+        _wrap_serialized(planner, name, monitor, token)
+    _wrap_serialized(flow, "rewire", monitor, token)
+    if adaptation is not None:
+        _wrap_serialized(adaptation.migrator, "_abort_repair", monitor, token)
 
     # -- tracked shared state -----------------------------------------
     for entity_id, entity in planner.entities.items():

@@ -12,14 +12,16 @@ operational layer that makes that sustainable:
 * :mod:`repro.control.quotas` — per-tenant weighted-fair token buckets
   enforced at the processor hosting the head, so one tenant's traffic
   spike cannot starve colocated tenants.
+* :mod:`repro.control.loop` — :class:`ControlLoop`, the leg-neutral
+  decisions: a scripted churn of registrations and teardowns admitted,
+  deferred, rejected, cancelled and retried, each wakeup applied as one
+  planner edit (:meth:`~repro.core.system.FederatedSystem.edit`).
 * :mod:`repro.control.runtime` — :class:`Control`, the live-runtime
-  service that executes a scripted churn of registrations and
-  teardowns through the coordinator tree, reusing the
-  :class:`~repro.live.Adaptation` service's migration protocol (pause →
-  drain → install/detach → resume) so arrivals and departures never
-  corrupt colocated queries.
-* :mod:`repro.control.simulate` — the same admission policy driving
-  the discrete-event simulator's online submission path.
+  service that runs the loop behind the :class:`~repro.live.Adaptation`
+  service's gate (pause → drain → edit → rewire → resume), so arrivals
+  and departures never corrupt colocated queries.
+* :mod:`repro.control.simulate` — the same loop scheduled on the
+  discrete-event simulator.
 """
 
 from repro.control.admission import AdmissionPolicy, predicted_imbalance

@@ -17,6 +17,7 @@ the distributed coordinator.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.query.spec import QuerySpec
@@ -44,14 +45,16 @@ def predicted_imbalance(loads: dict[str, float], new_load: float) -> float:
     return peak / ideal
 
 
-def entity_loads(planner) -> dict[str, float]:
+def entity_loads(planner, without: Iterable[str] = ()) -> dict[str, float]:
     """Predicted CPU load per entity from the hosted queries' cost
-    model (the vertex weights of §3.2.2)."""
+    model (the vertex weights of §3.2.2), ``without`` those queries."""
     catalog = planner.catalog
+    skip = set(without)
     return {
         entity_id: sum(
             hosted.spec.estimated_load(catalog)
-            for hosted in entity.hosted.values()
+            for query_id, hosted in entity.hosted.items()
+            if query_id not in skip
         )
         for entity_id, entity in planner.entities.items()
     }

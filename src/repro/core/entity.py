@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.wiring import Edge, EntityWiring, derive_wiring
+from repro.core.wiring import Edge, derive_wiring
 from repro.engine.executor import LocalEngine
 from repro.engine.partition import PartitionedDeployment, plan_partitioned
 from repro.engine.plan import Fragment, QueryPlan
@@ -106,7 +106,9 @@ class Entity:
         self.result_handler: ResultHandler | None = None
         self.tuples_received = 0
         self.results_emitted = 0
-        self.wiring = EntityWiring({}, {}, {}, {})
+        self.wiring = derive_wiring(self)
+        # fragment id -> the processor running it under ``wiring``
+        self._proc_of: dict[str, str] = {}
         self._deployed = False
         self._last_placer = "pr"
         self._last_limit = 2
@@ -126,8 +128,13 @@ class Entity:
         return hosted
 
     def unhost(self, query_id: str) -> None:
-        """Drop a query; its fragments are uninstalled on redeploy."""
-        self.hosted.pop(query_id, None)
+        """Drop a query: a shared group's fan-out shrinks around it and
+        delegation of streams nobody else reads is released.  Its
+        fragments go at the next :meth:`rewire`."""
+        hosted = self.hosted.pop(query_id, None)
+        if hosted is not None:
+            self.leave_group(hosted)
+            self.release_delegation(hosted.spec.input_streams)
 
     def interests_by_stream(self) -> dict[str, list[StreamInterest]]:
         """The entity's data requirement, per stream (for dissemination)."""
@@ -154,6 +161,143 @@ class Entity:
                         None if needed is None else out[stream_id] | needed
                     )
         return out
+
+    # ------------------------------------------------------------------
+    # Online edits (§4 inside a running entity): the hosting model
+    # changes in place and operator state moves with the Fragment
+    # objects; the caller re-derives the wiring (:meth:`rewire`)
+    # ------------------------------------------------------------------
+    def _anchor(self, streams: tuple[str, ...]) -> str:
+        """The delegation processor of the dominant (fastest) stream."""
+        dominant = max(streams, key=lambda s: self.catalog.schema(s).rate)
+        procs = sorted(self.processors)
+        delegate = self.delegation.delegate_of(dominant)
+        return delegate if delegate in procs else procs[0]
+
+    def place_chain(self, hosted: HostedQuery) -> None:
+        """Choose the processors of a query's fragment chain: head at
+        the dominant stream's delegate, successors round-robin."""
+        procs = sorted(self.processors)
+        start = procs.index(self._anchor(hosted.spec.input_streams))
+        hosted.chain_procs = [
+            procs[(start + i) % len(procs)]
+            for i in range(len(hosted.fragments))
+        ]
+
+    def make_standalone(self, hosted: HostedQuery) -> None:
+        """Give a query a one-fragment canonical chain of its own.
+
+        Wraps the query's cached canonical plan instances: the private
+        suffix operators (which ran inside its tap while it was shared)
+        keep their window state; the prefix operators were shadowed by
+        the shared instance and are stateless filters, so running them
+        fresh is output-identical.
+        """
+        query_id = hosted.spec.query_id
+        hosted.shared_group = None
+        hosted.fragments = [
+            Fragment(
+                fragment_id=f"{query_id}#f0",
+                query_id=query_id,
+                index=0,
+                operators=list(hosted.canonical(self.catalog).operators),
+            )
+        ]
+
+    def ensure_delegation(self, streams: tuple[str, ...]) -> None:
+        """Delegate every stream of ``streams`` not delegated yet."""
+        for stream_id in streams:
+            self.delegation.assign(
+                stream_id, self.catalog.schema(stream_id).bytes_per_second
+            )
+
+    def release_delegation(self, streams: tuple[str, ...]) -> None:
+        """Release the delegation of ``streams`` no hosted query reads."""
+        still_needed = {
+            s for other in self.hosted.values() for s in other.spec.input_streams
+        }
+        for stream_id in streams:
+            if stream_id not in still_needed:
+                self.delegation.release(
+                    stream_id, self.catalog.schema(stream_id).bytes_per_second
+                )
+
+    def leave_group(self, hosted: HostedQuery) -> None:
+        """Shrink a query's shared group's fan-out around it; the
+        prefix keeps serving the others, and goes with the last one."""
+        deployment = self.shared.get(hosted.shared_group)
+        if deployment is None:
+            return
+        query_id = hosted.spec.query_id
+        group = deployment.group
+        group.taps.pop(query_id, None)
+        deployment.tap_procs.pop(query_id, None)
+        group.members = tuple(m for m in group.members if m != query_id)
+        group.shared.members = group.members
+        if not group.members:
+            del self.shared[hosted.shared_group]
+
+    def reshare(self) -> None:
+        """Recompute the sharing groups at quiescence.
+
+        Every stateless-prefix group is dissolved and the optimizer
+        rerun (``allow_stateful=False``: a re-share must not fabricate
+        shared window state mid-stream); queries that fall out of every
+        group get standalone canonical chains.  Stateful groups formed
+        at deploy time are left as they are — their members never move.
+        """
+        affected: set[str] = set()
+        for gid in sorted(self.shared):
+            deployment = self.shared[gid]
+            if deployment.group.stateful:
+                continue
+            del self.shared[gid]
+            for qid in deployment.tap_procs:
+                member = self.hosted.get(qid)
+                if member is not None:
+                    member.shared_group = None
+                    affected.add(qid)
+        candidates = [
+            h
+            for h in self.hosted.values()
+            if h.partition is None and h.shared_group is None
+        ]
+        groups = (
+            plan_shared(
+                [h.spec for h in candidates],
+                {h.spec.query_id: h.canonical(self.catalog) for h in candidates},
+                self.catalog,
+                allow_stateful=False,
+            )
+            if len(candidates) >= 2
+            else []
+        )
+        for group in groups:
+            affected.difference_update(group.members)
+            self._place_shared(group)
+        for qid in sorted(affected):
+            self.make_standalone(self.hosted[qid])
+            self.place_chain(self.hosted[qid])
+
+    def _place_shared(self, group: SharedGroup) -> None:
+        """Deploy a freshly built group: the shared prefix at the
+        anchor, member taps round-robin after it."""
+        procs = sorted(self.processors)
+        shared_proc = self._anchor(group.input_streams)
+        start = procs.index(shared_proc)
+        tap_procs: dict[str, str] = {}
+        for offset, qid in enumerate(group.members):
+            tap_procs[qid] = procs[(start + 1 + offset) % len(procs)]
+            hosted = self.hosted[qid]
+            hosted.shared_group = group.group_id
+            # no reset: the tap slices the member's live suffix
+            # instances, whose window state must survive the re-share
+            hosted.fragments = [group.taps[qid]]
+            hosted.chain_procs = [tap_procs[qid]]
+        group.shared.reset_state()
+        self.shared[group.group_id] = SharedDeployment(
+            group, shared_proc, tap_procs
+        )
 
     # ------------------------------------------------------------------
     # Deployment: delegation + fragmentation + placement + wiring
@@ -185,9 +329,6 @@ class Entity:
         self._last_seed = seed
         self._last_parallelism = partition_parallelism
         self._last_shared = shared_execution
-        for engine in self.engines.values():
-            for fragment_id in engine.fragment_ids:
-                engine.uninstall(fragment_id)
         self.shared.clear()
 
         limit = max(1, distribution_limit)
@@ -273,7 +414,7 @@ class Entity:
                     for qid in group.members
                 },
             )
-        self._wire(derive_wiring(self))
+        self.rewire()
         self._deployed = True
         return plan
 
@@ -326,14 +467,23 @@ class Entity:
                 )
         return jobs
 
-    def _wire(self, wiring: EntityWiring) -> None:
-        """Interpret the derived wiring on the simulated cluster: every
-        fragment is installed on its processor's engine, its outputs
-        carried along whatever hops its out-edge routes them to."""
-        self.wiring = wiring
-        for proc, fragments in wiring.fragments.items():
-            for fragment_id, fragment in fragments.items():
-                self.engines[proc].install(
+    def rewire(self) -> None:
+        """Re-derive the wiring from the hosting model and interpret it
+        on the simulated cluster: every fragment is installed on its
+        processor's engine, its outputs carried along whatever hops its
+        out-edge routes them to.  A live run loads the same
+        :attr:`wiring` (``LiveDataflow.rewire``)."""
+        self.wiring = wiring = derive_wiring(self)
+        self._proc_of = {
+            fragment_id: proc
+            for proc, fragments in wiring.fragments.items()
+            for fragment_id in fragments
+        }
+        for proc, engine in self.engines.items():
+            for fragment_id in engine.fragment_ids:
+                engine.uninstall(fragment_id)
+            for fragment_id, fragment in wiring.fragments[proc].items():
+                engine.install(
                     fragment,
                     downstream=self._carry(
                         proc, wiring.downstream[proc][fragment_id]
@@ -356,18 +506,25 @@ class Entity:
         with ``to_proc`` ``None``, to the gateway as a result of query
         ``target``."""
         if to_proc == from_proc:
-            # None: the item in service when the processor died
-            engine = self.engines.get(to_proc)
-            if engine is not None:
-                engine.ingest(target, tup)
+            # not an engine: the item in service when the processor died
+            if from_proc in self.engines:
+                self._land(target, tup)
             return
         if to_proc is None:
             dst, deliver = self.entity_id, lambda t: self._emit_result(target, t)
         else:
-            dst, deliver = to_proc, lambda t: self.engines[to_proc].ingest(target, t)
+            dst, deliver = to_proc, lambda t: self._land(target, t)
         self.network.send(
             from_proc, dst, tup.size, payload=tup, on_delivery=deliver
         )
+
+    def _land(self, fragment_id: str, tup: StreamTuple) -> None:
+        """Ingest a hop at its fragment wherever the current wiring runs
+        it: a tuple in flight across an online edit reaches the fragment
+        where the edit put it, and one whose fragment is gone drops."""
+        proc = self._proc_of.get(fragment_id)
+        if proc is not None:
+            self.engines[proc].ingest(fragment_id, tup)
 
     def _emit_result(self, query_id: str, tup: StreamTuple) -> None:
         self.results_emitted += 1

@@ -13,6 +13,7 @@ baselines, so end-to-end comparisons (E2, E12) are a config diff.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.core.entity import Entity
@@ -24,6 +25,7 @@ from repro.dissemination.builders import (
     build_source_direct_tree,
 )
 from repro.dissemination.runtime import DisseminationRuntime
+from repro.dissemination.tree import SOURCE, DisseminationTree
 from repro.placement.factory import PLACER_NAMES
 from repro.placement.performance_ratio import PerformanceTracker
 from repro.query.spec import QuerySpec
@@ -144,12 +146,9 @@ class FederatedSystem:
             config.entity_count,
             config.processors_per_entity,
         )
-        self.entities: dict[str, Entity] = {
-            entity_id: Entity(
-                self.sim, self.network, entity_id, nodes, catalog
-            )
-            for entity_id, nodes in clusters.items()
-        }
+        self.entities: dict[str, Entity] = {}
+        for entity_id, nodes in clusters.items():
+            self._add_entity(entity_id, nodes)
         positions = {
             e: (self.network.node(e).x, self.network.node(e).y)
             for e in self.entities
@@ -177,6 +176,9 @@ class FederatedSystem:
         self._query_index: dict[str, QuerySpec] = {}
         self._entity_counter = config.entity_count
         self.rehomed_queries = 0
+        # dissemination-tree membership changes made by refresh_trees()
+        self.tree_attaches = 0
+        self.tree_detaches = 0
         self.results: dict[str, list[StreamTuple]] | None = None
 
         self.monitoring = None
@@ -195,6 +197,11 @@ class FederatedSystem:
             self.portal.router.external_load = self.monitoring.load_of
             self.monitoring.start()
         self._maintainers: dict[str, object] = {}
+
+    def _add_entity(self, entity_id: str, processors: list[NetworkNode]) -> None:
+        entity = Entity(self.sim, self.network, entity_id, processors, self.catalog)
+        entity.result_handler = self._deliver_result
+        self.entities[entity_id] = entity
 
     # ------------------------------------------------------------------
     # Read-only views (the mutation protocol stays inside this class)
@@ -255,32 +262,74 @@ class FederatedSystem:
             partition_parallelism=self.config.partition_parallelism,
             shared_execution=self.config.shared_execution,
         )
-        entity.result_handler = self._deliver_result
 
+    # ------------------------------------------------------------------
+    # Lifecycle edits (§3.2.2): the running plan changes in place
+    # ------------------------------------------------------------------
     def submit_one(self, query: QuerySpec) -> str:
         """Admit a single query online via coordinator-tree routing.
 
         This is the §3.2.1 "query stream" path: no global repartitioning,
-        just a level-by-level route to an entity (:meth:`adopt_query`),
-        which then redeploys.  Returns the entity id.
+        just a level-by-level route to an entity.  Returns the entity id.
         """
-        entity_id = self.adopt_query(query)
-        self._deploy(self.entities[entity_id])
-        self._build_dissemination()
-        return entity_id
+        self.edit(arrivals=[query])
+        return self.allocation_result.assignment[query.query_id]
 
-    def adopt_query(self, query: QuerySpec) -> str:
-        """Route and record a dynamically arriving query — bookkeeping
-        only, no deployment.
+    def withdraw(self, query_id: str) -> None:
+        """Remove a query ("arrival or leave of queries", §3.2.2);
+        ``KeyError`` if it was never submitted."""
+        self.edit(departures=[query_id])
 
-        The live control plane wires arrivals into an already-running
-        dataflow itself (under a closed feed gate, through the migration
-        protocol's model edits), so this path must NOT call
-        ``entity.deploy`` (that would build fresh ``Fragment`` objects
-        diverging from the live ones) nor rebuild dissemination (the
-        running feeds hold references to the current tree objects; the
-        migrator refreshes them in place).  Returns the hosting entity.
+    def migrate(self, moves: list[tuple[str, str, str]]) -> list[str]:
+        """Move ``(query_id, source, target)`` queries between entities,
+        fragments and operator state intact; returns the touched ids."""
+        return self.edit(moves=moves)
+
+    def edit(
+        self,
+        *,
+        departures: Iterable[str] = (),
+        arrivals: Iterable[QuerySpec] = (),
+        moves: Iterable[tuple[str, str, str]] = (),
+    ) -> list[str]:
+        """Apply one batch of lifecycle changes to the running plan.
+
+        The hosting edits run first — departures, arrivals, then moves,
+        each in the order given — and :meth:`settle` follows once: one
+        re-share pass over the touched entities, one tree refresh, and
+        each touched entity's wiring re-derived.  No entity redeploys and
+        no tree is rebuilt, so colocated queries keep their fragments and
+        windows.  Returns the touched entity ids, sorted; the simulator
+        runs them at once, a live run loads them behind a closed gate.
         """
+        touched: set[str | None] = set()
+        for query_id in departures:
+            touched.add(self._depart(query_id))
+        for query in arrivals:
+            touched.add(self._arrive(query))
+        for query_id, src_id, dst_id in moves:
+            self._transfer(query_id, src_id, dst_id)
+            touched.update((src_id, dst_id))
+        touched.discard(None)
+        return self.settle(touched)
+
+    def settle(self, touched: Iterable[str]) -> list[str]:
+        """Finish a batch of hosting edits on ``touched`` entities: re-share
+        them (with shared execution), refresh the trees, re-derive their
+        wiring.  Returns them, sorted."""
+        touched = sorted(touched)
+        if self.config.shared_execution:
+            for entity_id in touched:
+                self.entities[entity_id].reshare()
+        if touched:
+            self.refresh_trees()
+        for entity_id in touched:
+            self.entities[entity_id].rewire()
+        return touched
+
+    def _arrive(self, query: QuerySpec) -> str:
+        """Route an arrival to an entity as a standalone canonical chain
+        (it has no state to keep and no placement to respect)."""
         if query.query_id in self._query_index:
             raise ValueError(f"{query.query_id} already submitted")
         self._queries.append(query)
@@ -292,46 +341,50 @@ class FederatedSystem:
                 assignment={}, cut=0.0, imbalance=1.0, routing_messages=0
             )
         entity_id = self.portal.route_one(query)
-        hosted = self.entities[entity_id].host(query)
+        entity = self.entities[entity_id]
+        hosted = entity.host(query)
         self.tracker.set_complexity(query.query_id, hosted.inherent_complexity)
         self._add_client_node(query)
         self.allocation_result.assignment[query.query_id] = entity_id
+        entity.make_standalone(hosted)
+        entity.ensure_delegation(query.input_streams)
+        entity.place_chain(hosted)
         return entity_id
 
-    def drop_query(self, query_id: str) -> str | None:
-        """Forget a departing query — bookkeeping only, no redeploy.
-
-        Counterpart of :meth:`adopt_query` for the live control plane's
-        teardown path: the caller has already detached the query's live
-        fragments under a closed gate, so the entity must not redeploy
-        and the dissemination trees must not be rebuilt here.  Returns
-        the entity that hosted the query (``None`` if it had none).
-        """
-        spec = self._query_index.pop(query_id, None)
-        if spec is None:
-            raise KeyError(query_id)
+    def _depart(self, query_id: str) -> str | None:
+        """Forget a query and unhost it; returns its entity, if any."""
+        spec = self._query_index.pop(query_id)
         self._queries = [q for q in self._queries if q.query_id != query_id]
         entity_id = self.allocation_result.assignment.pop(query_id, None)
-        if entity_id is not None and entity_id in self.entities:
-            entity = self.entities[entity_id]
-            if query_id in entity.hosted:
-                entity.unhost(query_id)
-        self.portal.router.release(
-            query_id, spec.estimated_load(self.catalog)
-        )
+        if entity_id in self.entities:
+            self.entities[entity_id].unhost(query_id)
+        self.portal.router.release(query_id, spec.estimated_load(self.catalog))
         return entity_id
 
-    def withdraw(self, query_id: str) -> None:
-        """Remove a query ("arrival or leave of queries", §3.2.2).
-
-        After the bookkeeping of :meth:`drop_query`, the hosting entity
-        redeploys without it and dissemination filters narrow
-        accordingly.
-        """
-        entity = self.entities.get(self.drop_query(query_id))
-        if entity is not None and entity.hosted:
-            self._deploy(entity)
-        self._build_dissemination()
+    def _transfer(self, query_id: str, src_id: str, dst_id: str) -> None:
+        """Re-home one query: its fragments (with their state) move, a
+        shared-group member leaves its group as a standalone canonical
+        chain, and delegation follows the streams."""
+        src = self.entities[src_id]
+        dst = self.entities[dst_id]
+        hosted = src.hosted.pop(query_id, None)
+        if hosted is None:
+            return
+        dst.hosted[query_id] = hosted
+        self.allocation_result.assignment[query_id] = dst_id
+        if hosted.shared_group is not None:
+            deployment = src.shared.get(hosted.shared_group)
+            if deployment is not None and deployment.group.stateful:
+                raise ValueError(
+                    f"cannot migrate {query_id}: member of stateful "
+                    f"shared group {hosted.shared_group}"
+                )
+            src.leave_group(hosted)
+            src.make_standalone(hosted)
+        streams = hosted.spec.input_streams
+        src.release_delegation(streams)
+        dst.ensure_delegation(streams)
+        dst.place_chain(hosted)
 
     def submit_over_time(self, timed_queries) -> None:
         """Schedule ``(arrival_time, query)`` pairs for online admission.
@@ -412,9 +465,7 @@ class FederatedSystem:
         )
         for proc in processors:
             proc.x, proc.y = gateway.x, gateway.y
-        self.entities[entity_id] = Entity(
-            self.sim, self.network, entity_id, processors, self.catalog
-        )
+        self._add_entity(entity_id, processors)
         self.portal.add_entity(entity_id, (gateway.x, gateway.y))
         if self.monitoring is not None:
             from repro.monitoring import EntityLoadCollector
@@ -495,7 +546,13 @@ class FederatedSystem:
         for maintainer in self._maintainers.values():
             maintainer.stop()
         self._maintainers.clear()
+        interested, required = self._demand()
+        for stream_id, per_entity in interested.items():
+            self._open_stream(stream_id, per_entity, required[stream_id])
 
+    def _demand(self) -> tuple[dict[str, dict[str, list]], dict[str, dict]]:
+        """Per stream, each interested entity's interests and the
+        attributes its queries read."""
         interested: dict[str, dict[str, list]] = {}
         required: dict[str, dict[str, set | None]] = {}
         for entity_id, entity in self.entities.items():
@@ -505,68 +562,135 @@ class FederatedSystem:
                 required.setdefault(stream_id, {})[entity_id] = needed.get(
                     stream_id
                 )
+        return interested, required
 
-        for stream_id, per_entity in interested.items():
-            source_node = self._source_nodes[stream_id]
-            src = self.network.node(source_node)
-            positions = {
-                e: (self.network.node(e).x, self.network.node(e).y)
-                for e in per_entity
-            }
-            if self.config.dissemination == "direct":
-                tree = build_source_direct_tree(
-                    stream_id, (src.x, src.y), positions
-                )
-            elif self.config.dissemination == "kary":
-                tree = build_balanced_tree(
-                    stream_id,
-                    (src.x, src.y),
-                    positions,
-                    max_fanout=self.config.max_fanout,
-                )
-            else:
-                tree = build_closest_parent_tree(
-                    stream_id,
-                    (src.x, src.y),
-                    positions,
-                    max_fanout=self.config.max_fanout,
-                )
-            for entity_id, interests in per_entity.items():
-                tree.set_interests(entity_id, interests)
-                tree.set_required_attributes(
-                    entity_id, required[stream_id].get(entity_id)
-                )
-            runtime = DisseminationRuntime(
-                self.sim,
-                self.network,
-                tree,
-                source_node,
-                early_filtering=self.config.early_filtering,
-                transform=self.config.transform_at_ancestors,
+    def _open_stream(
+        self, stream_id: str, per_entity: dict[str, list], required: dict
+    ) -> None:
+        """Build one stream's tree over its interested entities and run
+        it from the stream's source."""
+        source_node = self._source_nodes[stream_id]
+        src = self.network.node(source_node)
+        positions = {
+            e: (self.network.node(e).x, self.network.node(e).y)
+            for e in per_entity
+        }
+        if self.config.dissemination == "direct":
+            tree = build_source_direct_tree(
+                stream_id, (src.x, src.y), positions
             )
-            runtime.on_delivery(self._on_stream_delivery)
-            runtime.attach_source(self.sources[stream_id])
-            self.dissemination[stream_id] = runtime
+        elif self.config.dissemination == "kary":
+            tree = build_balanced_tree(
+                stream_id,
+                (src.x, src.y),
+                positions,
+                max_fanout=self.config.max_fanout,
+            )
+        else:
+            tree = build_closest_parent_tree(
+                stream_id,
+                (src.x, src.y),
+                positions,
+                max_fanout=self.config.max_fanout,
+            )
+        for entity_id, interests in per_entity.items():
+            tree.set_interests(entity_id, interests)
+            tree.set_required_attributes(entity_id, required.get(entity_id))
+        runtime = DisseminationRuntime(
+            self.sim,
+            self.network,
+            tree,
+            source_node,
+            early_filtering=self.config.early_filtering,
+            transform=self.config.transform_at_ancestors,
+        )
+        runtime.on_delivery(self._on_stream_delivery)
+        runtime.attach_source(self.sources[stream_id])
+        self.dissemination[stream_id] = runtime
 
-            if self.config.tree_maintenance_interval is not None:
-                from repro.dissemination.maintenance import TreeMaintainer
+        if self.config.tree_maintenance_interval is not None:
+            from repro.dissemination.maintenance import TreeMaintainer
 
-                def entity_positions(tree=tree):
-                    return {
-                        e: (self.network.node(e).x, self.network.node(e).y)
-                        for e in tree.entities
-                        if self.network.has_node(e)
-                    }
+            def entity_positions(tree=tree):
+                return {
+                    e: (self.network.node(e).x, self.network.node(e).y)
+                    for e in tree.entities
+                    if self.network.has_node(e)
+                }
 
-                maintainer = TreeMaintainer(
-                    self.sim,
-                    tree,
-                    (src.x, src.y),
-                    entity_positions,
-                    interval=self.config.tree_maintenance_interval,
-                )
-                maintainer.start()
-                self._maintainers[stream_id] = maintainer
+            maintainer = TreeMaintainer(
+                self.sim,
+                tree,
+                (src.x, src.y),
+                entity_positions,
+                interval=self.config.tree_maintenance_interval,
+            )
+            maintainer.start()
+            self._maintainers[stream_id] = maintainer
+
+    def refresh_trees(self) -> None:
+        """Re-derive every tree's membership and filters from the hosting.
+
+        Trees change *in place* (running forwarders hold them): a newly
+        interested entity attaches under the closest node with fanout to
+        spare, a member nobody there needs any more becomes a pure relay,
+        and relay leaves are pruned bottom-up.  A stream without a tree
+        gets one, as :meth:`_build_dissemination` builds it.
+        """
+        interested, required = self._demand()
+        for stream_id in sorted(interested.keys() | self.dissemination.keys()):
+            wanted = interested.get(stream_id, {})
+            if stream_id not in self.dissemination:
+                self._open_stream(stream_id, wanted, required[stream_id])
+                continue
+            tree = self.dissemination[stream_id].tree
+            for entity_id in sorted(wanted):
+                if not tree.contains(entity_id):
+                    self._attach_closest(tree, entity_id)
+                    self.tree_attaches += 1
+            for entity_id in tree.entities:
+                if entity_id in wanted:
+                    tree.set_interests(entity_id, wanted[entity_id])
+                    tree.set_required_attributes(
+                        entity_id, required[stream_id].get(entity_id)
+                    )
+                else:
+                    # pure relay (or stale member): forwards only what
+                    # its subtree needs, reads nothing itself
+                    tree.set_interests(entity_id, [])
+                    tree.set_required_attributes(entity_id, set())
+            while True:
+                removable = [
+                    entity_id
+                    for entity_id in tree.entities
+                    if entity_id not in wanted
+                    and not tree.children_of(entity_id)
+                ]
+                if not removable:
+                    break
+                for entity_id in sorted(removable):
+                    tree.detach(entity_id)
+                    self.tree_detaches += 1
+
+    def _attach_closest(self, tree: DisseminationTree, entity_id: str) -> None:
+        """Attach an entity under the nearest node with fanout to spare
+        (leaves always qualify, so one always exists)."""
+        node = self.network.node(entity_id)
+        source = self.network.node(self._source_nodes[tree.stream_id])
+
+        def distance(member: str) -> float:
+            at = source if member == SOURCE else self.network.node(member)
+            return (at.x - node.x) ** 2 + (at.y - node.y) ** 2
+
+        best = min(
+            (
+                member
+                for member in [SOURCE] + sorted(tree.entities)
+                if tree.fanout(member) < tree.max_fanout
+            ),
+            key=lambda member: (distance(member), member),
+        )
+        tree.attach(entity_id, parent=best)
 
     def _on_stream_delivery(self, entity_id: str, tup: StreamTuple) -> None:
         self.entities[entity_id].receive(tup)

@@ -196,13 +196,14 @@ class LiveReport:
         query_cpu_seconds: Fragment CPU demand attributed per query —
             the observed vertex weights the adaptation loop feeds back
             into the query graph.
-        recovery: Failure/recovery metrics when the run executed under
-            the chaos harness; ``None`` for plain live runs.
-        adaptation: Control-loop metrics when the run executed under the
-            adaptive runtime; ``None`` for static runs.
+        recovery: Failure/recovery metrics, attached by a listed
+            :class:`~repro.live.chaos.Chaos` service; ``None`` otherwise.
+        adaptation: Adaptation-loop and lifecycle-edit metrics, attached
+            by a listed :class:`~repro.live.adaptation.Adaptation`
+            service; ``None`` otherwise.
         control: Multi-tenant control-plane metrics (admission, quotas,
-            churn) when the run executed under the control runtime;
-            ``None`` otherwise.
+            churn), attached by a listed :class:`~repro.control.Control`
+            service; ``None`` otherwise.
     """
 
     duration: float

@@ -193,6 +193,7 @@ class RecoveryManager:
             deployment.tap_procs = {
                 qid: rehome(p) for qid, p in deployment.tap_procs.items()
             }
+        entity.rewire()
         flow.rewire(entity)
 
         if not self.replay:

@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, TypeVar
 
 from repro.core.entity import Entity
 from repro.core.system import FederatedSystem, SystemConfig
-from repro.core.wiring import derive_wiring
 from repro.dissemination.tree import SOURCE, DisseminationTree
 from repro.live.channels import LAN, WAN, LiveChannel
 from repro.live.entity_task import (
@@ -227,20 +226,20 @@ class LiveDataflow:
     collector: ResultCollector | None = None
 
     def rewire(self, entity: Entity) -> None:
-        """(Re)load one entity's execution tables from its hosting model.
+        """(Re)load one entity's execution tables from its wiring.
 
         The single writer of the processors' ``fragments`` /
         ``downstream`` / ``head_routes`` tables (and of the ``heads``
-        intake each processor derives from them): the wiring is derived
-        afresh (:func:`~repro.core.wiring.derive_wiring`) and swapped in
-        *in place* — the tables are shared with the running tasks — so
-        an online change is "edit the model, call this".  The swap is
-        synchronous; callers either hold the dataflow quiescent
-        (migration, control plane) or tolerate losing what was in
-        flight (processor fail-over).  With tenant quotas on, every
+        intake each processor derives from them): the ``entity.wiring``
+        the planner derived (:meth:`~repro.core.entity.Entity.rewire`)
+        is swapped in *in place* — the tables are shared with the
+        running tasks — so an online change is "edit the model, call
+        this".  The swap is synchronous; callers either hold the
+        dataflow quiescent (lifecycle edits) or tolerate losing what was
+        in flight (processor fail-over).  With tenant quotas on, every
         standalone head fragment is (re)bound to its owner's bucket.
         """
-        wiring = derive_wiring(entity)
+        wiring = entity.wiring
         tasks = [
             self.processors[(entity.entity_id, proc_id)]
             for proc_id in entity.processors

@@ -59,7 +59,8 @@ class AdaptationReport:
         gross_moves: Individual vertex moves the strategies performed
             (≥ ``queries_migrated``; the gap is wasted churn).
         tree_attaches / tree_detaches: Dissemination-tree membership
-            changes driven by post-migration interest refreshes.
+            changes the run's lifecycle edits (migrations, arrivals,
+            departures) made when they refreshed the trees.
         decision_seconds: Total wall seconds spent inside the
             repartitioner — the paper's decision-making-time axis.
         pause_wall_seconds: Total wall seconds sources were gated while
@@ -122,7 +123,7 @@ class AdaptationReport:
         self.fragments_migrated += fragments
 
     def record_tree_update(self, attaches: int, detaches: int) -> None:
-        """Account dissemination-tree surgery after a migration."""
+        """Account dissemination-tree surgery by lifecycle edits."""
         self.tree_attaches += attaches
         self.tree_detaches += detaches
 

@@ -261,6 +261,60 @@ def test_sim_and_live_make_the_same_admission_decisions():
         ), field
 
 
+def test_sim_keeps_one_retry_pending_across_departures(monkeypatch):
+    """Two departures while an arrival is parked: each retries the
+    queue once, and afterwards the queue is probed once per retry
+    period — one pending retry, not one more per departure."""
+    import repro.control.simulate as simulate
+
+    systems = []
+
+    class Recorded(simulate.FederatedSystem):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            systems.append(self)
+
+    probes = []
+    drain = AdmissionPolicy.drain_admissible
+
+    def probe(self, loads, catalog):
+        probes.append(systems[0].sim.now)
+        return drain(self, loads, catalog)
+
+    monkeypatch.setattr(simulate, "FederatedSystem", Recorded)
+    monkeypatch.setattr(AdmissionPolicy, "drain_admissible", probe)
+    config = SystemConfig(
+        entity_count=2,
+        processors_per_entity=2,
+        seed=3,
+        admission_queue_limit=4,
+        admission_imbalance_threshold=1.0,
+    )
+    base = [_spec(f"b{i}", 100.0 * i, 100.0 * i + 150.0) for i in range(4)]
+    # ten base queries' load: no departure makes room for it
+    heavy = replace(_spec("parked"), cost_multiplier=10.0)
+    events = [
+        ControlEvent(at=0.2, action="register", spec=heavy),
+        ControlEvent(at=0.4, action="teardown", query_id="b0"),
+        ControlEvent(at=0.6, action="teardown", query_id="b1"),
+    ]
+    retry, duration = 0.25, 3.0
+    __, control = run_control_sim(
+        stock_catalog(exchanges=1, rate=50.0),
+        config,
+        base,
+        events,
+        duration=duration,
+        retry_period=retry,
+    )
+    assert (control.torn_down, control.stranded_in_queue) == (2, 1)
+    assert 0.4 in probes and 0.6 in probes
+    later = [at for at in probes if at > 0.6]
+    assert later
+    assert all(b - a >= retry - 1e-9 for a, b in zip(later, later[1:]))
+    assert len(later) <= (duration - 0.6) / retry + 1
+
+
 def test_control_smoke_is_clean():
     assert run_control_smoke(seed=7) == []
 

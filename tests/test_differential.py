@@ -77,7 +77,7 @@ MOVE_EAGERLY = AdaptationSettings(
 # The cells claimed to work: (leg, lifecycle) -> plans.
 GENERATED = {
     ("sim", "static"): ALL_PLANS,
-    ("sim", "churned"): ("plain", "shared"),
+    ("sim", "churned"): ALL_PLANS,
     ("live", "static"): ALL_PLANS,
     ("live", "migrated"): ALL_PLANS,
     ("live", "churned"): ALL_PLANS,
@@ -130,16 +130,6 @@ UNSUPPORTED = (
         "7",
     ),
     Unsupported(
-        ("sim",),
-        ("partitioned",),
-        ("churned",),
-        "an arrival or departure redeploys the whole entity "
-        "(FederatedSystem.submit_one / withdraw), which rebuilds the "
-        "colocated queries' fragments and drops their aggregate windows "
-        "(seed 7: 20 of 127 keys missing, none extra)",
-        "7",
-    ),
-    Unsupported(
         ("live", "distributed"),
         (WINDOW_JOIN,),
         LIFECYCLES,
@@ -168,8 +158,7 @@ SWEEP = {
         for plan in ALL_PLANS
         for lifecycle in ("migrated", "churned")
     },
-    ("sim", "plain", "churned"): (2, 3, 29),
-    ("sim", "shared", "churned"): (2, 3, 29),
+    **{("sim", plan, "churned"): (2, 3, 29) for plan in ALL_PLANS},
 }
 
 

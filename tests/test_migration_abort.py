@@ -4,8 +4,9 @@ A migration round that raises between pause and resume must not leave
 the dataflow half-migrated behind a permanently closed gate:
 :meth:`QueryMigrator.execute` repairs every move to a consistent
 placement and the ``finally`` reopens the feeds.  These tests kill a
-round mid-protocol — once during ``_transfer`` (a half-applied move
-list) and once during ``_drain`` (nothing applied yet) — and assert
+round mid-protocol — once inside the planner's transfer edit
+(``FederatedSystem._transfer``: a half-applied move list) and once
+during the migrator's ``_drain`` (nothing applied yet) — and assert
 the run still completes, feeds flow afterwards (the adaptive result
 set stays identical to a static run of the same trace), the abort is
 counted, and the post-run structural audit is clean.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.invariants import audit_federation
-from repro.core.system import SystemConfig
+from repro.core.system import FederatedSystem, SystemConfig
 from repro.live import (
     Adaptation,
     AdaptationSettings,
@@ -89,7 +90,8 @@ def static_keys():
 def run_with_fault(monkeypatch, *, fail_in: str, fail_on_call: int):
     """Run the adaptive scenario with one injected mid-round failure."""
     calls = {"n": 0}
-    original = getattr(QueryMigrator, fail_in)
+    owner = QueryMigrator if fail_in == "_drain" else FederatedSystem
+    original = getattr(owner, fail_in)
 
     if fail_in == "_drain":
 
@@ -107,7 +109,7 @@ def run_with_fault(monkeypatch, *, fail_in: str, fail_on_call: int):
                 raise RuntimeError("injected transfer fault")
             return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(QueryMigrator, fail_in, faulty)
+    monkeypatch.setattr(owner, fail_in, faulty)
     runtime = build_runtime(adaptive=True)
     report = runtime.run()
     assert calls["n"] >= fail_on_call, "the fault never fired"
@@ -119,6 +121,8 @@ def assert_recovered(runtime, report, static_keys):
     adaptation = report.adaptation
     assert adaptation is not None
     assert adaptation.aborted_migrations >= 1
+    # every round's audit, the aborted round's included, came out clean
+    assert adaptation.audits >= 1 and adaptation.audit_violations == 0
     # feeds were reopened and results kept flowing: the run delivers
     # the identical result set as the static baseline, exactly-once
     assert key_set(runtime.results) == static_keys

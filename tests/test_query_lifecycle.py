@@ -7,7 +7,7 @@ import pytest
 from repro.core.system import FederatedSystem, SystemConfig
 from repro.interest.predicates import StreamInterest
 from repro.query.generator import WorkloadConfig, generate_workload
-from repro.query.spec import QuerySpec
+from repro.query.spec import AggregateSpec, QuerySpec
 from repro.streams.catalog import stock_catalog
 
 
@@ -139,3 +139,67 @@ def test_withdraw_keeps_other_queries_running(world):
     before = system.tracker._delay_count.get("keep", 0)
     system.run(2.0)
     assert system.tracker._delay_count.get("keep", 0) > before
+
+
+# ----------------------------------------------------------------------
+# An edit keeps the colocated queries' state
+# ----------------------------------------------------------------------
+def aggregate_results(changes):
+    """A partitioned grouped aggregate's results over 4 s on a
+    one-entity federation, with ``changes(system)`` scheduled beside
+    it; its 2 s windows are open across every change."""
+    catalog = stock_catalog(exchanges=1, rate=60.0)
+    system = FederatedSystem(
+        catalog,
+        SystemConfig(
+            entity_count=1,
+            processors_per_entity=3,
+            seed=5,
+            partition_parallelism=2,
+        ),
+    )
+    stream = catalog.stream_ids()[0]
+    system.submit(
+        [
+            QuerySpec(
+                query_id="agg",
+                interests=(StreamInterest.on(stream, price=(0.0, 1000.0)),),
+                aggregate=AggregateSpec(
+                    attribute="price", fn="sum", window=2.0, group_by="symbol"
+                ),
+            ),
+            make_query(catalog, "sel"),
+        ]
+    )
+    (entity,) = system.entities.values()
+    assert entity.hosted["agg"].partition is not None
+    results = system.collect_results()
+    changes(system)
+    system.run(4.0)
+    system.sim.run()  # drain in-flight tuples
+    return [
+        (tup.stream_id, tup.seq, sorted(tup.values.items()))
+        for tup in results["agg"]
+    ]
+
+
+def test_colocated_window_survives_sim_submit_one():
+    catalog = stock_catalog(exchanges=1, rate=60.0)
+
+    def arrival(system):
+        system.sim.schedule_at(
+            1.0, lambda: system.submit_one(make_query(catalog, "late"))
+        )
+
+    static = aggregate_results(lambda system: None)
+    assert static
+    assert aggregate_results(arrival) == static
+
+
+def test_colocated_window_survives_sim_withdraw():
+    def departure(system):
+        system.sim.schedule_at(1.0, lambda: system.withdraw("sel"))
+
+    static = aggregate_results(lambda system: None)
+    assert static
+    assert aggregate_results(departure) == static

@@ -130,10 +130,12 @@ def test_audit_flags_a_model_edit_without_rederivation(runtime):
     try:
         violations = audit_federation(planner, dataflow=flow)
         assert violations and {v.check for v in violations} == {"wiring"}
+        entity.rewire()
         flow.rewire(entity)
         assert audit_federation(planner, dataflow=flow) == []
     finally:
         hosted.chain_procs = placed
+        entity.rewire()
         flow.rewire(entity)
 
 
@@ -320,6 +322,14 @@ def sim_hops(outputs):
         for p in ("a", "b")
     ]
     entity = Entity(sim, net, "e", nodes, stock_catalog(exchanges=1))
+    # a hop lands where the wiring runs its fragment: where edges send it
+    entity._proc_of = {
+        "next": "b",
+        "sink": "a",
+        "tap-b": "b",
+        "tap-c": "b",
+        **{fragment: proc for proc, fragment in PARTITION_ROUTES.values()},
+    }
     carried = {}
     for head, edge in edges_under_test().items():
         log: list = []
