@@ -17,7 +17,9 @@ Each channel is tagged with the network tier it models (``"wan"`` or
 ``"lan"``) and an optional delivery latency in wall-clock seconds; the
 runtime derives that latency from the simulated tier latencies and its
 time-scale factor, so an unscaled ("as fast as possible") run pays no
-sleeps at all.
+sleeps at all.  Like ``Network.send`` in the simulator, latency delays
+each batch — due at put time plus latency, on the loop's clock — without
+queueing it behind the one before: a link does not throttle.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ class LiveChannel:
         name: Diagnostic name (e.g. ``"inbox/entity-3"``).
         capacity: Maximum queued batches; ``put`` blocks at the bound.
         tier: ``"wan"`` or ``"lan"`` — which network tier this models.
-        latency: Wall-clock seconds each batch spends "on the wire"
-            (applied on the consumer side of ``get``).
+        latency: Wall-clock seconds each batch spends "on the wire":
+            ``get`` returns a batch no earlier than its put plus this.
     """
 
     def __init__(
@@ -61,6 +63,9 @@ class LiveChannel:
         self.tier = tier
         self.latency = latency
         self._items: deque[Any] = deque()
+        # Loop time each queued batch is due, in step with _items; kept
+        # only when latency > 0.
+        self._due: deque[float] = deque()
         self._putters: deque[asyncio.Future[None]] = deque()
         self._getters: deque[asyncio.Future[None]] = deque()
         self._closed = False
@@ -118,6 +123,8 @@ class LiveChannel:
         if len(items) >= self.capacity:
             return False
         items.append(item)
+        if self.latency:
+            self._due.append(asyncio.get_running_loop().time() + self.latency)
         self.puts += 1
         if len(items) > self.high_water:
             self.high_water = len(items)
@@ -137,22 +144,46 @@ class LiveChannel:
         while not self.try_put(item):
             await self._wait_in(self._putters)
 
+    def _head_wait(self) -> float:
+        """Seconds until the head batch is due; ``<= 0`` once it is.
+        The channel must not be empty."""
+        due = self._due
+        return due[0] - asyncio.get_running_loop().time() if due else 0.0
+
+    def _pop(self) -> Any:
+        """Dequeue the head batch, which is due."""
+        if self._due:
+            self._due.popleft()
+        item = self._items.popleft()
+        self.gets += 1
+        self._wake_next(self._putters)
+        return item
+
+    def take_due(self) -> Any | None:
+        """Dequeue the head batch if one is queued and due, else return
+        ``None``; never blocks or yields."""
+        if self._items and self._head_wait() <= 0.0:
+            return self._pop()
+        return None
+
     async def get(self) -> Any:
-        """Dequeue the next batch, blocking while the channel is empty.
+        """Dequeue the next batch, blocking while the channel is empty
+        and sleeping until it is due while it is still on the wire.
 
         Raises :class:`ChannelClosed` once the channel is closed *and*
         drained — a close never discards queued batches.
         """
-        while not self._items:
-            if self._closed:
-                raise ChannelClosed(self.name)
-            await self._wait_in(self._getters)
-        item = self._items.popleft()
-        self.gets += 1
-        self._wake_next(self._putters)
-        if self.latency > 0.0:
-            await asyncio.sleep(self.latency)
-        return item
+        while True:
+            while not self._items:
+                if self._closed:
+                    raise ChannelClosed(self.name)
+                await self._wait_in(self._getters)
+            wait = self._head_wait()
+            if wait <= 0.0:
+                return self._pop()
+            # The batch stays queued while on the wire: a fail() during
+            # the wait still accounts it.
+            await asyncio.sleep(wait)
 
     async def close(self) -> None:
         """Close the channel, waking every blocked producer/consumer."""
@@ -173,6 +204,7 @@ class LiveChannel:
         """
         lost = list(self._items)
         self._items.clear()
+        self._due.clear()
         await self.close()
         return lost
 

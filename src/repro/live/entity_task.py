@@ -45,8 +45,8 @@ from repro.live.transport import LiveTransport, Sender, WorkTracker, flush_all
 from repro.placement.delegation import DelegationScheme
 from repro.streams.tuples import StreamTuple
 
-# In scaled (wall-paced) runs, the longest a partial source batch may
-# wait before being flushed (virtual seconds).
+# In scaled (wall-paced) runs, the longest a source feed that is behind
+# schedule, and so never idles, holds a partial batch (virtual seconds).
 BATCH_LINGER = 0.05
 
 _TARGET = itemgetter(0)  # of a processor inbox item, ``(target, tuple)``
@@ -95,6 +95,24 @@ def _runs(keys: list, items: list) -> Sequence[tuple[Any, list]]:
     return runs
 
 
+async def next_input(inbox: LiveChannel, clock: LiveClock) -> list:
+    """A consumer's next inbox batch.  In scaled runs it is joined, in
+    order, by every batch already due behind it: a consumer that fell
+    behind takes its backlog as one run, so the partial batches that idle
+    feeds send (a tuple each at low rates) coalesce again under load.
+    Unscaled runs take one batch at a time, so what they send, and the
+    interleaving their window joins depend on, stays fixed."""
+    batch = await inbox.get()
+    if clock.time_scale > 0.0:
+        more = inbox.take_due()
+        if more is not None:
+            batch = list(batch)
+            while more is not None:
+                batch.extend(more)
+                more = inbox.take_due()
+    return batch
+
+
 class LiveClock:
     """The run's virtual clock, advanced by the source feeds.
 
@@ -116,22 +134,29 @@ class LiveClock:
         """Current virtual time (max over all source feeds)."""
         return self._virtual
 
-    async def pace(self, t: float) -> None:
-        """Sleep until virtual time ``t`` is due (no-op when unscaled).
+    def due_in(self, t: float) -> float:
+        """Loop seconds until virtual time ``t`` is due; ``<= 0`` once it
+        is.  Always ``0.0`` when unscaled, without reading the loop clock.
 
         Deadlines are absolute — ``epoch + t * time_scale`` on the
-        loop's clock — so a late wake-up shortens the next sleep instead
-        of pushing every later emission back, and a tuple that is
-        already due is not slept for at all.
+        loop's clock, the epoch anchored by the first scaled call — so a
+        late wake-up shortens the next wait instead of pushing every
+        later emission back.
         """
+        if t <= self._virtual or self.time_scale == 0.0:
+            return 0.0
+        now = asyncio.get_running_loop().time()
+        if self._epoch is None:
+            self._epoch = now - self._virtual * self.time_scale
+        return self._epoch + t * self.time_scale - now
+
+    async def pace(self, t: float) -> None:
+        """Sleep until virtual time ``t`` is due (no-op when unscaled);
+        a tuple that is already due is not slept for at all."""
         if t > self._virtual:
-            if self.time_scale > 0.0:
-                now = asyncio.get_running_loop().time()
-                if self._epoch is None:
-                    self._epoch = now - self._virtual * self.time_scale
-                delay = self._epoch + t * self.time_scale - now
-                if delay > 0.0:
-                    await asyncio.sleep(delay)
+            delay = self.due_in(t)
+            if delay > 0.0:
+                await asyncio.sleep(delay)
             self._virtual = max(self._virtual, t)
             self._advanced.set()
 
@@ -369,28 +394,39 @@ class LiveSourceFeed:
         self.finished = False
 
     async def run(self) -> None:
-        """Pace through the trace; flush lingering batches; finish."""
+        """Pace through the trace; flush when idle; finish.
+
+        In scaled runs a partial batch leaves when the feed would
+        otherwise wait: before sleeping towards its next tuple, the feed
+        flushes what it has forwarded since the last flush.  A feed
+        behind schedule never sleeps, so its batches fill, but none
+        holds a tuple for :data:`BATCH_LINGER` virtual seconds or more.
+        Unscaled runs flush only at the gate and at the end.
+        """
+        clock, forwarder, gate = self.clock, self.forwarder, self.gate
+        scaled = clock.time_scale > 0.0
+        # Virtual time of the first tuple forwarded since the last flush.
         pending_since: float | None = None
-        for index, (t, tup) in enumerate(self.trace):
-            await self.clock.pace(t)
-            if self.gate is not None and not self.gate.is_open:
+        for t, tup in self.trace:
+            if (
+                scaled
+                and pending_since is not None
+                and (t - pending_since >= BATCH_LINGER or clock.due_in(t) > 0.0)
+            ):
+                await forwarder.flush()
+                pending_since = None
+            await clock.pace(t)
+            if gate is not None and not gate.is_open:
                 # migration in progress: flush so the drain observes
                 # every tuple emitted so far, then wait at the gate
-                await self.forwarder.flush()
-                await self.gate.wait_open()
+                await forwarder.flush()
+                pending_since = None
+                await gate.wait_open()
             self.metrics.record_ingest()
-            await self.forwarder.forward(tup)
+            await forwarder.forward(tup)
             if pending_since is None:
                 pending_since = t
-            # In scaled (wall-paced) runs a partial batch must not sit
-            # for ever waiting to fill: flush once the gap to the next
-            # emission would exceed the linger bound.
-            if self.clock.time_scale > 0.0 and index + 1 < len(self.trace):
-                next_t = self.trace[index + 1][0]
-                if next_t - pending_since >= BATCH_LINGER:
-                    await self.forwarder.flush()
-                    pending_since = None
-        await self.forwarder.flush()
+        await forwarder.flush()
         self.finished = True
 
 
@@ -445,7 +481,7 @@ class LiveGateway:
             if await self.control.checkpoint():
                 break
             try:
-                batch = await self.inbox.get()
+                batch = await next_input(self.inbox, self.clock)
             except ChannelClosed:
                 break
             await self._handle_batch(batch)
@@ -557,7 +593,7 @@ class LiveProcessor:
             if await self.control.checkpoint():
                 break
             try:
-                batch = await self.inbox.get()
+                batch = await next_input(self.inbox, self.clock)
             except ChannelClosed:
                 break
             await self._execute_batch(batch)

@@ -74,7 +74,10 @@ class LiveSettings:
         batch_size: Tuples per transport batch.
         wan_latency / lan_latency: Modeled per-hop delivery latency in
             virtual seconds (scaled by ``time_scale`` into wall time;
-            defaults match the simulated network's tier constants).
+            defaults match the simulated network's tier constants).  It
+            delays each batch by that much, as ``Network.send`` delays
+            each message; batches on one link do not queue behind each
+            other's latency.
         send_timeout: Wall seconds one send attempt may block on a full
             channel before it counts as failed.
         max_retries: Retry budget per send; an exhausted budget drops

@@ -16,10 +16,16 @@ from hypothesis.stateful import (
 )
 
 from repro.live.channels import Batcher, ChannelClosed, LiveChannel
+from repro.live.chaos import VirtualClockLoop
 
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def run_virtual(coro):
+    with asyncio.Runner(loop_factory=VirtualClockLoop) as runner:
+        return runner.run(coro)
 
 
 # ----------------------------------------------------------------------
@@ -131,6 +137,108 @@ def test_latency_is_applied_on_delivery():
         return asyncio.get_running_loop().time() - start
 
     assert run(main()) >= 0.015
+
+
+# ----------------------------------------------------------------------
+# Latency delays each batch; it does not queue batches behind each other
+# ----------------------------------------------------------------------
+LATENCY = 0.01
+
+
+def test_back_to_back_batches_all_arrive_one_latency_later():
+    """N batches put at t0 are due at t0 + L together, not one L apart
+    (a link delays, it does not throttle to 1 / L batches a second)."""
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        ch = LiveChannel("t", capacity=16, latency=LATENCY)
+        start = loop.time()
+        for i in range(10):
+            assert ch.try_put([i])
+        got = []
+        for __ in range(10):
+            got.append((await ch.get(), loop.time() - start))
+        return got
+
+    got = run_virtual(main())
+    assert [batch for batch, __ in got] == [[i] for i in range(10)]
+    assert all(at == pytest.approx(LATENCY) for __, at in got)
+
+
+def test_latency_keeps_fifo_order_and_each_batch_its_own_due_time():
+    async def main():
+        loop = asyncio.get_running_loop()
+        ch = LiveChannel("t", capacity=16, latency=LATENCY)
+        start = loop.time()
+        for i in range(4):
+            await ch.put(i)
+            await asyncio.sleep(LATENCY / 4)
+        got = []
+        for __ in range(4):
+            got.append((await ch.get(), loop.time() - start))
+        return got
+
+    got = run_virtual(main())
+    assert [item for item, __ in got] == [0, 1, 2, 3]
+    # each batch arrives one latency after its own put, L/4 apart
+    assert [at for __, at in got] == pytest.approx(
+        [LATENCY + i * LATENCY / 4 for i in range(4)]
+    )
+
+
+def test_due_batch_is_returned_without_sleeping(monkeypatch):
+    async def main():
+        ch = LiveChannel("t", capacity=4, latency=LATENCY)
+        await ch.put("x")
+        await asyncio.sleep(LATENCY)
+        sleeps = []
+        real_sleep = asyncio.sleep
+
+        async def counting(delay, result=None):
+            sleeps.append(delay)
+            return await real_sleep(delay, result)
+
+        monkeypatch.setattr(asyncio, "sleep", counting)
+        got = await ch.get()
+        monkeypatch.undo()
+        return got, sleeps
+
+    assert run_virtual(main()) == ("x", [])
+
+
+def test_take_due_leaves_a_batch_on_the_wire_queued():
+    async def main():
+        ch = LiveChannel("t", capacity=4, latency=LATENCY)
+        assert ch.take_due() is None  # empty
+        await ch.put("x")
+        early = ch.take_due(), ch.depth
+        await asyncio.sleep(LATENCY)
+        return early, ch.take_due(), ch.depth, ch.gets
+
+    assert run_virtual(main()) == ((None, 1), "x", 0, 1)
+
+
+def test_fail_returns_only_batches_and_leaves_no_stamp():
+    async def main():
+        loop = asyncio.get_running_loop()
+        ch = LiveChannel("t", capacity=4, latency=LATENCY)
+        await ch.put(["a"])
+        await ch.put(["b", "c"])
+        getter = asyncio.create_task(ch.get())
+        await asyncio.sleep(0)  # the getter waits for ["a"] to be due
+        lost = await ch.fail()
+        with pytest.raises(ChannelClosed):
+            await getter
+        # a channel built afterwards (a recovered link) starts clean
+        fresh = LiveChannel("t", capacity=4, latency=LATENCY)
+        start = loop.time()
+        await fresh.put(["d"])
+        return lost, list(ch._due), await fresh.get(), loop.time() - start
+
+    lost, stamps, got, waited = run_virtual(main())
+    assert lost == [["a"], ["b", "c"]]
+    assert stamps == []
+    assert got == ["d"] and waited == pytest.approx(LATENCY)
 
 
 # ----------------------------------------------------------------------
@@ -286,11 +394,14 @@ class ChannelMachine(RuleBasedStateMachine):
     """
 
     CAPACITY = 3
+    LATENCY = 0.0
 
     def __init__(self) -> None:
         super().__init__()
-        self.loop = asyncio.new_event_loop()
-        self.channel = LiveChannel("model", capacity=self.CAPACITY)
+        self.loop = VirtualClockLoop()
+        self.channel = LiveChannel(
+            "model", capacity=self.CAPACITY, latency=self.LATENCY
+        )
         self.queue: deque[int] = deque()
         self.putters: list[tuple[asyncio.Task, int]] = []
         self.getters: list[asyncio.Task] = []
@@ -308,7 +419,27 @@ class ChannelMachine(RuleBasedStateMachine):
         return self.next_item
 
     def _settle(self) -> None:
+        """Settle, and let every queued batch come due: with latency the
+        virtual clock moves one ``LATENCY`` on, then settles again."""
         self.loop.run_until_complete(settle())
+        if self.LATENCY:
+            self.loop.run_until_complete(asyncio.sleep(self.LATENCY))
+            self.loop.run_until_complete(settle())
+
+    def _in_loop(self, call):
+        """``call()`` on the loop, whose clock stamps and dates batches."""
+
+        async def run():
+            return call()
+
+        return self.loop.run_until_complete(run())
+
+    def _hand_slot_to_putter(self) -> None:
+        """Model side of a dequeue: the longest-blocked producer gets in."""
+        if self.putters:
+            producer, item = self.putters.pop(0)
+            assert producer.done() and producer.exception() is None
+            self.queue.append(item)
 
     def _model_enqueue(self, item: int) -> asyncio.Task | None:
         """Model side of a successful enqueue; returns the consumer it
@@ -325,7 +456,7 @@ class ChannelMachine(RuleBasedStateMachine):
     def try_put(self) -> None:
         item = self._item()
         full = len(self.queue) >= self.CAPACITY
-        assert self.channel.try_put(item) is (not full)
+        assert self._in_loop(lambda: self.channel.try_put(item)) is (not full)
         if not full:
             getter = self._model_enqueue(item)
             self._settle()
@@ -357,10 +488,18 @@ class ChannelMachine(RuleBasedStateMachine):
         expected = self.queue.popleft()
         self._settle()
         assert task.result() == expected
-        if self.putters:
-            producer, item = self.putters.pop(0)
-            assert producer.done() and producer.exception() is None
-            self.queue.append(item)
+        self._hand_slot_to_putter()
+
+    @rule()
+    def take_due(self) -> None:
+        # every queued batch was put by an earlier, settled rule: it is due
+        got = self._in_loop(self.channel.take_due)
+        if not self.queue:
+            assert got is None
+            return
+        assert got == self.queue.popleft()
+        self._settle()
+        self._hand_slot_to_putter()
 
     @precondition(lambda self: self.putters)
     @rule(data=st.data())
@@ -394,7 +533,16 @@ class ChannelMachine(RuleBasedStateMachine):
         assert len(channel._getters) == len(self.getters)
 
 
-ChannelMachine.TestCase.settings = settings(
-    max_examples=60, stateful_step_count=40, deadline=None
-)
+class LatentChannelMachine(ChannelMachine):
+    """The same model on a link with latency: it delays, so after the
+    clock has moved one latency on, every outcome is the deque's."""
+
+    LATENCY = 0.01
+
+
+for machine in (ChannelMachine, LatentChannelMachine):
+    machine.TestCase.settings = settings(
+        max_examples=60, stateful_step_count=40, deadline=None
+    )
 test_channel_against_deque_model = ChannelMachine.TestCase
+test_latent_channel_against_deque_model = LatentChannelMachine.TestCase

@@ -20,6 +20,7 @@ from repro.cli import main
 from repro.core.system import SystemConfig
 from repro.interest.predicates import StreamInterest
 from repro.live import (
+    Chaos,
     LiveRuntime,
     LiveSettings,
     RuntimeService,
@@ -398,6 +399,38 @@ def test_relay_keeps_result_multisets_at_every_batch_size():
         keys[batch_size] = result_keys(runtime)
     assert keys[1] and max(keys[1].values()) == 1
     assert keys[8] == keys[1] and keys[32] == keys[1]
+
+
+# ----------------------------------------------------------------------
+# Open-loop latency: the wire, not a timer
+# ----------------------------------------------------------------------
+def test_paced_result_latency_is_the_modelled_path_latency():
+    """Fault-free, real time on the virtual clock, default tier latencies
+    and a low rate: a result is as late as its path's links make it, not
+    as late as a batch takes to fill or a linger timer to fire; and it
+    is the same result the unscaled run gives."""
+    paced = LiveRuntime(
+        make_catalog(),
+        make_config(),
+        LiveSettings(duration=2.0),
+        services=[Chaos()],
+    )
+    paced.submit(filter_queries())
+    report = paced.run()
+    assert paced.settings.time_scale == 1.0
+    settings = paced.settings
+    deepest = max(
+        tree.depth_of(entity)
+        for tree in paced.dataflow.trees.values()
+        for entity in tree.entities
+    )
+    # WAN hops down the tree, then gateway -> delegate -> relay (LAN)
+    modelled = deepest * settings.wan_latency + 2 * settings.lan_latency
+    assert report.results > 0 and report.dropped_tuples == 0
+    assert report.p95_result_latency <= modelled + 1e-3
+
+    unscaled, __ = run_live(LiveSettings(duration=2.0))
+    assert result_keys(paced) == result_keys(unscaled)
 
 
 # ----------------------------------------------------------------------

@@ -11,10 +11,21 @@ from __future__ import annotations
 import asyncio
 import random
 
+from repro.core.system import SystemConfig
+from repro.dissemination.tree import SOURCE
+from repro.interest.predicates import StreamInterest
+from repro.live import LiveRuntime, LiveSettings
 from repro.live.channels import LiveChannel
 from repro.live.chaos import VirtualClockLoop
-from repro.live.entity_task import LiveClock
-from repro.live.metrics import TransportStats
+from repro.live.entity_task import (
+    BATCH_LINGER,
+    FeedGate,
+    LiveClock,
+    LiveSourceFeed,
+    TreeForwarder,
+    next_input,
+)
+from repro.live.metrics import LiveMetrics, TransportStats
 from repro.live.transport import (
     LiveTransport,
     Sender,
@@ -22,6 +33,9 @@ from repro.live.transport import (
     WorkTracker,
     flush_all,
 )
+from repro.query.spec import QuerySpec
+from repro.streams.catalog import stock_catalog
+from repro.streams.tuples import StreamTuple
 
 
 def run(coro):
@@ -445,3 +459,201 @@ def test_unscaled_pace_never_reads_the_loop_clock(monkeypatch):
         return clock.now
 
     assert run(main()) == 1.5
+
+
+# ----------------------------------------------------------------------
+# Source feeds: a partial batch leaves when the feed would wait
+# ----------------------------------------------------------------------
+class OneEdge:
+    """A dissemination tree of one edge, from the source to ``child``."""
+
+    def children_of(self, node):
+        return ["child"] if node == SOURCE else []
+
+
+def make_feed(times, *, batch_size=8, gate=None):
+    """A feed replaying one tuple per time in ``times`` over one edge."""
+    transport = make_transport()
+    channel = LiveChannel("inbox/child", capacity=1024)
+    forwarder = TreeForwarder(
+        SOURCE,
+        {"s": OneEdge()},
+        {"child": channel},
+        transport,
+        LiveMetrics(),
+        batch_size=batch_size,
+        early_filtering=False,
+    )
+    trace = [
+        (t, StreamTuple("s", seq, t, {"v": float(seq)}, 8.0))
+        for seq, t in enumerate(times)
+    ]
+    clock = LiveClock(time_scale=1.0)
+    feed = LiveSourceFeed("s", trace, forwarder, clock, LiveMetrics(), gate=gate)
+    return feed, channel, transport
+
+
+async def received(channel):
+    """Every queued batch, as lists of sequence numbers."""
+    return [[tup.seq for tup in await channel.get()] for __ in range(channel.depth)]
+
+
+async def behind_schedule(clock, lag=1.0):
+    """Anchor ``clock`` at loop time now, then fall ``lag`` seconds behind
+    it: every tuple of a trace shorter than ``lag`` is already due."""
+    assert clock.due_in(lag) > 0.0
+    await asyncio.sleep(lag)
+
+
+def test_idle_feed_delivers_each_tuple_before_emitting_the_next(monkeypatch):
+    """Gaps between emissions: nothing waits for a batch to fill, or for
+    a linger timer, while the feed sleeps."""
+    times = [0.01 * i for i in range(1, 12)]
+
+    async def main():
+        feed, channel, transport = make_feed(times)
+        sent_before = []
+        forward = feed.forwarder.forward
+
+        async def recording(tup):
+            sent_before.append(transport.stats.tuples_sent)
+            await forward(tup)
+
+        monkeypatch.setattr(feed.forwarder, "forward", recording)
+        await feed.run()
+        return sent_before, await received(channel)
+
+    sent_before, batches = run(main())
+    assert sent_before == list(range(len(times)))
+    assert batches == [[seq] for seq in range(len(times))]
+
+
+def test_feed_with_every_tuple_due_fills_its_batches():
+    times = [0.001 * i for i in range(40)]
+
+    async def main():
+        feed, channel, __ = make_feed(times)
+        await behind_schedule(feed.clock)
+        await feed.run()
+        return await received(channel)
+
+    batches = run(main())
+    assert batches == [list(range(i, min(i + 8, 40))) for i in range(0, 40, 8)]
+
+
+def linger_cuts(times, opens=()):
+    """The batches a behind-schedule feed forms: one opens at a tuple
+    ``BATCH_LINGER`` or more after its batch's first, or at an index in
+    ``opens`` (a gate flush before it)."""
+    batches = []
+    for seq, t in enumerate(times):
+        if not batches or seq in opens or t - times[batches[-1][0]] >= BATCH_LINGER:
+            batches.append([])
+        batches[-1].append(seq)
+    return batches
+
+
+def test_feed_behind_schedule_still_flushes_at_the_linger_cap():
+    """A feed that never sleeps fills batches, but a sparse edge's tuple
+    does not wait for 32 more: the cap bounds it in virtual time."""
+    times = [i / 64 for i in range(20)]
+
+    async def main():
+        feed, channel, __ = make_feed(times, batch_size=32)
+        await behind_schedule(feed.clock)
+        await feed.run()
+        return await received(channel)
+
+    batches = run(main())
+    assert batches == linger_cuts(times)
+    assert 1 < len(batches) < len(times)
+
+
+def test_gate_flush_resets_the_pending_mark(monkeypatch):
+    """After the gate's flush the next batch starts a fresh linger span;
+    a stale mark would cut it short at the first batch's deadline."""
+    times = [i / 64 for i in range(20)]
+    gate = FeedGate()
+
+    async def main():
+        feed, channel, __ = make_feed(times, batch_size=32, gate=gate)
+        forward = feed.forwarder.forward
+
+        async def closing_after_second(tup):
+            await forward(tup)
+            if tup.seq == 1:
+                gate.close()
+                asyncio.get_running_loop().call_later(0.001, gate.open)
+
+        monkeypatch.setattr(feed.forwarder, "forward", closing_after_second)
+        await behind_schedule(feed.clock)
+        await feed.run()
+        return await received(channel)
+
+    batches = run(main())
+    assert batches[0] == [0, 1]
+    assert batches == linger_cuts(times, opens={2})
+
+
+def test_unscaled_federation_sends_a_pinned_batch_count():
+    """At ``time_scale=0`` feeds flush only at the gate and at the end,
+    so a fixed federation always sends the same batches."""
+    runtime = LiveRuntime(
+        stock_catalog(exchanges=2, rate=40.0),
+        SystemConfig(entity_count=4, processors_per_entity=2, seed=11),
+        LiveSettings(duration=2.0, batch_size=4),
+    )
+    runtime.submit(
+        [
+            QuerySpec(
+                query_id=f"q{i}",
+                interests=(
+                    StreamInterest.on(f"exchange-{i % 2}.trades", price=(lo, hi)),
+                ),
+                client_x=0.1 * i,
+                client_y=0.9 - 0.1 * i,
+            )
+            for i, (lo, hi) in enumerate([(50.0, 400.0), (200.0, 700.0), (1.0, 150.0)])
+        ]
+    )
+    report = runtime.run()
+    assert (report.batches_sent, report.tuples_sent) == (80, 268)
+
+
+# ----------------------------------------------------------------------
+# Consumers: a backlog is taken as one run in scaled runs only
+# ----------------------------------------------------------------------
+def test_scaled_consumer_takes_its_due_backlog_as_one_run():
+    async def main():
+        ch = LiveChannel("t", capacity=8)
+        for batch in (["a"], ["b", "c"], ["d"]):
+            ch.try_put(batch)
+        first = await next_input(ch, LiveClock(time_scale=1.0))
+        drained = ch.depth, ch.gets
+        ch.try_put(["e"])
+        return first, drained, await next_input(ch, LiveClock(1.0))
+
+    assert run(main()) == (["a", "b", "c", "d"], (0, 3), ["e"])
+
+
+def test_scaled_consumer_leaves_batches_on_the_wire_queued():
+    async def main():
+        ch = LiveChannel("t", capacity=8, latency=0.01)
+        ch.try_put(["a"])
+        await asyncio.sleep(0.005)
+        ch.try_put(["b"])
+        first = await next_input(ch, LiveClock(time_scale=1.0))
+        return first, ch.depth
+
+    assert run(main()) == (["a"], 1)
+
+
+def test_unscaled_consumer_takes_one_batch_at_a_time():
+    async def main():
+        ch = LiveChannel("t", capacity=8)
+        for batch in (["a"], ["b", "c"]):
+            ch.try_put(batch)
+        clock = LiveClock(time_scale=0.0)
+        return [await next_input(ch, clock), await next_input(ch, clock)]
+
+    assert run(main()) == [["a"], ["b", "c"]]
