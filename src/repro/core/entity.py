@@ -109,12 +109,6 @@ class Entity:
         self.wiring = derive_wiring(self)
         # fragment id -> the processor running it under ``wiring``
         self._proc_of: dict[str, str] = {}
-        self._deployed = False
-        self._last_placer = "pr"
-        self._last_limit = 2
-        self._last_seed = 0
-        self._last_parallelism = 1
-        self._last_shared = False
 
     # ------------------------------------------------------------------
     # Query hosting
@@ -324,11 +318,6 @@ class Entity:
         placement plan so callers can inspect predicted load and
         traffic.
         """
-        self._last_placer = placer
-        self._last_limit = distribution_limit
-        self._last_seed = seed
-        self._last_parallelism = partition_parallelism
-        self._last_shared = shared_execution
         self.shared.clear()
 
         limit = max(1, distribution_limit)
@@ -377,11 +366,7 @@ class Entity:
                 hosted.fragments = fragment_plan(hosted.plan, limit)
                 parallel_group = ()
             streams = hosted.spec.input_streams
-            rates = {s: self.catalog.schema(s).rate for s in streams}
-            dominant = max(streams, key=lambda s: rates[s])
-            for stream_id in streams:
-                schema = self.catalog.schema(stream_id)
-                self.delegation.assign(stream_id, schema.bytes_per_second)
+            self.ensure_delegation(streams)
             if hosted.shared_group is not None:
                 continue
             jobs.append(
@@ -392,7 +377,7 @@ class Entity:
                     input_byte_rate=sum(
                         self.catalog.schema(s).bytes_per_second for s in streams
                     ),
-                    delegate_proc=self.delegation.delegate_of(dominant),
+                    delegate_proc=self._anchor(streams),
                     distribution_limit=limit,
                     parallel_group=parallel_group,
                 )
@@ -415,7 +400,6 @@ class Entity:
                 },
             )
         self.rewire()
-        self._deployed = True
         return plan
 
     def _shared_jobs(
@@ -430,16 +414,10 @@ class Entity:
         """
         jobs: list[PlacementJob] = []
         for group in groups:
-            rates = {
-                s: self.catalog.schema(s).rate for s in group.input_streams
-            }
-            byte_rate = sum(
-                self.catalog.schema(s).bytes_per_second
-                for s in group.input_streams
-            )
-            input_rate = sum(rates.values())
-            dominant = max(group.input_streams, key=lambda s: rates[s])
-            anchor = self.delegation.delegate_of(dominant)
+            schemas = [self.catalog.schema(s) for s in group.input_streams]
+            input_rate = sum(schema.rate for schema in schemas)
+            byte_rate = sum(schema.bytes_per_second for schema in schemas)
+            anchor = self._anchor(group.input_streams)
             jobs.append(
                 PlacementJob(
                     query_id=group.group_id,
@@ -563,12 +541,13 @@ class Entity:
     # Processor failure (intra-entity adaptation)
     # ------------------------------------------------------------------
     def processor_failed(self, proc_id: str) -> None:
-        """Handle a processor crash: drop it and redeploy everything.
+        """Drop a crashed processor from the hosting model, in place.
 
         The central administration the paper assumes inside an entity
-        makes this simple: the failed processor's fragments (window
-        state lost) move to the survivors, delegation re-spreads, and
-        the wiring is rebuilt.  Raises when the last processor dies.
+        makes this simple: only its streams fail over, every fragment it
+        ran moves to the first survivor, and only the queries it touched
+        (a shared prefix touches every member) restart their state.  The
+        caller re-derives the wiring.  Raises when the last one dies.
         """
         if proc_id not in self.processors:
             raise KeyError(proc_id)
@@ -581,29 +560,42 @@ class Entity:
             self.network.node(proc_id).alive = False
         del self.processors[proc_id]
         del self.engines[proc_id]
-        # delegation must forget the dead processor entirely
-        self.delegation = DelegationScheme(sorted(self.processors))
-        self.reset_state()
-        if self._deployed and self.hosted:
-            self.deploy(
-                placer=self._last_placer,
-                distribution_limit=self._last_limit,
-                seed=self._last_seed,
-                partition_parallelism=self._last_parallelism,
-                shared_execution=self._last_shared,
-            )
+        self.delegation.fail_processor(proc_id)
+        home = min(self.processors)
+        touched: set[str] = set()
+        for deployment in self.shared.values():
+            if deployment.shared_proc == proc_id:
+                deployment.shared_proc = home
+                deployment.group.shared.reset_state()
+                touched.update(deployment.group.members)
+            taps = deployment.tap_procs
+            taps.update([(q, home) for q, p in taps.items() if p == proc_id])
+        # a member's chain is its tap's processor
+        for query_id, hosted in self.hosted.items():
+            if proc_id in hosted.chain_procs:
+                hosted.chain_procs = [
+                    home if p == proc_id else p for p in hosted.chain_procs
+                ]
+                touched.add(query_id)
+            if query_id in touched:
+                self._restart(hosted)
 
     def reset_state(self) -> None:
         """Drop every hosted fragment's operator state and every
-        partition router's sequencing state (a processor was lost, or a
-        live run starts from the planned deployment)."""
+        partition router's sequencing state (a live run starts from the
+        planned deployment)."""
         for hosted in self.hosted.values():
-            for fragment in hosted.fragments:
-                fragment.reset_state()
-            if hosted.partition is not None:
-                hosted.partition.router.reset()
+            self._restart(hosted)
         for deployment in self.shared.values():
             deployment.group.shared.reset_state()
+
+    @staticmethod
+    def _restart(hosted: HostedQuery) -> None:
+        """Drop one query's private operator and router state."""
+        for fragment in hosted.fragments:
+            fragment.reset_state()
+        if hosted.partition is not None:
+            hosted.partition.router.reset()
 
     # ------------------------------------------------------------------
     # Introspection

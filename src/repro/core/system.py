@@ -24,6 +24,7 @@ from repro.dissemination.builders import (
     build_closest_parent_tree,
     build_source_direct_tree,
 )
+from repro.dissemination.maintenance import TreeMaintainer, repair_after_crash
 from repro.dissemination.runtime import DisseminationRuntime
 from repro.dissemination.tree import SOURCE, DisseminationTree
 from repro.placement.factory import PLACER_NAMES
@@ -149,10 +150,7 @@ class FederatedSystem:
         self.entities: dict[str, Entity] = {}
         for entity_id, nodes in clusters.items():
             self._add_entity(entity_id, nodes)
-        positions = {
-            e: (self.network.node(e).x, self.network.node(e).y)
-            for e in self.entities
-        }
+        positions = {e: self._position(e) for e in self.entities}
         self.portal = Portal(list(self.entities), positions, catalog)
         self.sources: dict[str, StreamSource] = {}
         self._source_nodes: dict[str, str] = {}
@@ -198,6 +196,10 @@ class FederatedSystem:
             self.monitoring.start()
         self._maintainers: dict[str, object] = {}
 
+    def _position(self, node_id: str) -> tuple[float, float]:
+        node = self.network.node(node_id)
+        return node.x, node.y
+
     def _add_entity(self, entity_id: str, processors: list[NetworkNode]) -> None:
         entity = Entity(self.sim, self.network, entity_id, processors, self.catalog)
         entity.result_handler = self._deliver_result
@@ -210,10 +212,6 @@ class FederatedSystem:
     def queries(self) -> list[QuerySpec]:
         """The currently submitted queries (a copy; submission order)."""
         return list(self._queries)
-
-    def source_node_of(self, stream_id: str) -> str:
-        """The network node id hosting ``stream_id``'s source."""
-        return self._source_nodes[stream_id]
 
     # ------------------------------------------------------------------
     # Query submission
@@ -291,17 +289,24 @@ class FederatedSystem:
         departures: Iterable[str] = (),
         arrivals: Iterable[QuerySpec] = (),
         moves: Iterable[tuple[str, str, str]] = (),
+        failed: Iterable[str] = (),
     ) -> list[str]:
         """Apply one batch of lifecycle changes to the running plan.
 
-        The hosting edits run first — departures, arrivals, then moves,
-        each in the order given — and :meth:`settle` follows once: one
-        re-share pass over the touched entities, one tree refresh, and
-        each touched entity's wiring re-derived.  No entity redeploys and
-        no tree is rebuilt, so colocated queries keep their fragments and
-        windows.  Returns the touched entity ids, sorted; the simulator
-        runs them at once, a live run loads them behind a closed gate.
+        The hosting edits run first — failures, departures, arrivals,
+        then moves, each in the order given — and :meth:`settle` follows
+        once.  No entity redeploys and no tree is rebuilt, so colocated
+        queries keep their fragments and windows.  A failed node is a
+        processor (:meth:`Entity.processor_failed
+        <repro.core.entity.Entity.processor_failed>`) or an entity, whose
+        subtrees are re-parented in place and whose queries arrive again
+        through the coordinator tree.  Returns the touched entity ids,
+        sorted; the simulator runs them at once, a live run loads them
+        behind a closed gate, or as soon as it detects a crash.
         """
+        repaired: set[str] = set()
+        for node_id in failed:
+            repaired.update(self._fail(node_id))
         touched: set[str | None] = set()
         for query_id in departures:
             touched.add(self._depart(query_id))
@@ -311,16 +316,20 @@ class FederatedSystem:
             self._transfer(query_id, src_id, dst_id)
             touched.update((src_id, dst_id))
         touched.discard(None)
-        return self.settle(touched)
+        return self.settle(touched, repaired=repaired & self.entities.keys())
 
-    def settle(self, touched: Iterable[str]) -> list[str]:
-        """Finish a batch of hosting edits on ``touched`` entities: re-share
-        them (with shared execution), refresh the trees, re-derive their
-        wiring.  Returns them, sorted."""
+    def settle(
+        self, touched: Iterable[str], *, repaired: Iterable[str] = ()
+    ) -> list[str]:
+        """Finish a batch of hosting edits: re-share the ``touched``
+        entities (with shared execution), refresh the trees, re-derive the
+        wiring of those and the ``repaired`` ones (not re-shared: a crash
+        is no quiescent point).  Returns every entity re-derived, sorted."""
         touched = sorted(touched)
         if self.config.shared_execution:
             for entity_id in touched:
                 self.entities[entity_id].reshare()
+        touched = sorted({*touched, *repaired})
         if touched:
             self.refresh_trees()
         for entity_id in touched:
@@ -328,8 +337,7 @@ class FederatedSystem:
         return touched
 
     def _arrive(self, query: QuerySpec) -> str:
-        """Route an arrival to an entity as a standalone canonical chain
-        (it has no state to keep and no placement to respect)."""
+        """Admit an online arrival and route it to an entity."""
         if query.query_id in self._query_index:
             raise ValueError(f"{query.query_id} already submitted")
         self._queries.append(query)
@@ -340,11 +348,17 @@ class FederatedSystem:
             self.allocation_result = AllocationResult(
                 assignment={}, cut=0.0, imbalance=1.0, routing_messages=0
             )
+        self._add_client_node(query)
+        return self._route(query)
+
+    def _route(self, query: QuerySpec) -> str:
+        """Host a query where the coordinator tree routes it, as a
+        standalone canonical chain (it has no state to keep and no
+        placement to respect)."""
         entity_id = self.portal.route_one(query)
         entity = self.entities[entity_id]
         hosted = entity.host(query)
         self.tracker.set_complexity(query.query_id, hosted.inherent_complexity)
-        self._add_client_node(query)
         self.allocation_result.assignment[query.query_id] = entity_id
         entity.make_standalone(hosted)
         entity.ensure_delegation(query.input_streams)
@@ -439,9 +453,11 @@ class FederatedSystem:
     def add_entity(self, entity_id: str | None = None) -> str:
         """Admit a new entity at runtime.
 
-        Creates the gateway and LAN cluster, joins the coordinator
-        tree, and (if queries are running) rebuilds the dissemination
-        trees so the newcomer can relay.  Returns the new entity id.
+        Creates the gateway and LAN cluster and joins the coordinator
+        tree; the running trees are left as they are.  The newcomer
+        hosts no query yet, so no tree wants it: the first query routed
+        to it attaches it (:meth:`refresh_trees`).  Returns the new
+        entity id.
         """
         if entity_id is None:
             entity_id = f"entity-{self._entity_counter}"
@@ -473,31 +489,13 @@ class FederatedSystem:
             self.monitoring.register(
                 EntityLoadCollector(self.sim, self.entities[entity_id])
             )
-        if self._queries:
-            self._build_dissemination()
         return entity_id
 
-    def remove_entity(self, entity_id: str, *, graceful: bool = True) -> list[str]:
-        """Retire an entity; its queries are re-homed elsewhere.
-
-        Returns the re-homed query ids.  With ``graceful=False`` the
-        entity's nodes are already dead (crash) — in-flight tuples were
-        lost — but the control-plane repair is identical.
-        """
-        entity = self.entities.get(entity_id)
-        if entity is None:
-            raise KeyError(entity_id)
-        if len(self.entities) <= 1:
-            raise RuntimeError("cannot remove the last entity")
-        stranded = sorted(entity.hosted)
-        del self.entities[entity_id]
-        self.portal.remove_entity(entity_id)
-        if self.monitoring is not None:
-            self.monitoring.deregister(entity_id)
-        self.network.node(entity_id).alive = False
-        for proc_id in entity.processors:
-            self.network.node(proc_id).alive = False
-        self._rehome(stranded)
+    def remove_entity(self, entity_id: str) -> list[str]:
+        """Retire an entity (one ``edit(failed=[entity_id])``); returns
+        its queries, re-homed elsewhere."""
+        stranded = sorted(self.entities[entity_id].hosted)
+        self.edit(failed=[entity_id])
         return stranded
 
     def crash_entity(
@@ -505,9 +503,7 @@ class FederatedSystem:
     ) -> None:
         """Silently kill an entity; repair happens ``detection_delay``
         seconds later (heartbeat detection)."""
-        entity = self.entities.get(entity_id)
-        if entity is None:
-            raise KeyError(entity_id)
+        entity = self.entities[entity_id]
         self.network.node(entity_id).alive = False
         for proc_id in entity.processors:
             self.network.node(proc_id).alive = False
@@ -515,25 +511,39 @@ class FederatedSystem:
 
         def detect() -> None:
             if entity_id in self.entities:
-                self.remove_entity(entity_id, graceful=False)
+                self.edit(failed=[entity_id])
 
         self.sim.schedule(detection_delay, detect)
 
-    def _rehome(self, query_ids: list[str]) -> None:
-        """Re-route stranded queries through the coordinator tree."""
-        touched: set[str] = set()
-        for query_id in query_ids:
-            spec = self._query_index.get(query_id)
-            if spec is None:
-                continue
-            target = self.portal.route_one(spec)
-            self.entities[target].host(spec)
-            self.allocation_result.assignment[query_id] = target
-            touched.add(target)
-            self.rehomed_queries += 1
-        for entity_id in touched:
-            self._deploy(self.entities[entity_id])
-        self._build_dissemination()
+    def _fail(self, node_id: str) -> list[str]:
+        """Take a dead node out of the hosting model; returns the
+        entities whose wiring changed."""
+        if node_id in self.entities:
+            return self._fail_entity(node_id)
+        for entity_id, entity in self.entities.items():
+            if node_id in entity.processors:
+                entity.processor_failed(node_id)
+                return [entity_id]
+        raise KeyError(node_id)
+
+    def _fail_entity(self, entity_id: str) -> list[str]:
+        """The portal and the trees heal around a dead entity, in place,
+        and its queries re-arrive elsewhere."""
+        if len(self.entities) <= 1:
+            raise RuntimeError("cannot remove the last entity")
+        entity = self.entities.pop(entity_id)
+        self.portal.remove_entity(entity_id)
+        if self.monitoring is not None:
+            self.monitoring.deregister(entity_id)
+        self.network.node(entity_id).alive = False
+        for proc_id in entity.processors:
+            self.network.node(proc_id).alive = False
+        positions = {e: self._position(e) for e in sorted(self.entities)}
+        for stream_id, runtime in sorted(self.dissemination.items()):
+            source = self._position(self._source_nodes[stream_id])
+            repair_after_crash(runtime.tree, entity_id, source, positions)
+        self.rehomed_queries += len(entity.hosted)
+        return [self._route(self._query_index[q]) for q in sorted(entity.hosted)]
 
     # ------------------------------------------------------------------
     # Dissemination wiring
@@ -570,28 +580,17 @@ class FederatedSystem:
         """Build one stream's tree over its interested entities and run
         it from the stream's source."""
         source_node = self._source_nodes[stream_id]
-        src = self.network.node(source_node)
-        positions = {
-            e: (self.network.node(e).x, self.network.node(e).y)
-            for e in per_entity
-        }
+        source = self._position(source_node)
+        positions = {e: self._position(e) for e in per_entity}
         if self.config.dissemination == "direct":
-            tree = build_source_direct_tree(
-                stream_id, (src.x, src.y), positions
-            )
+            tree = build_source_direct_tree(stream_id, source, positions)
         elif self.config.dissemination == "kary":
             tree = build_balanced_tree(
-                stream_id,
-                (src.x, src.y),
-                positions,
-                max_fanout=self.config.max_fanout,
+                stream_id, source, positions, max_fanout=self.config.max_fanout
             )
         else:
             tree = build_closest_parent_tree(
-                stream_id,
-                (src.x, src.y),
-                positions,
-                max_fanout=self.config.max_fanout,
+                stream_id, source, positions, max_fanout=self.config.max_fanout
             )
         for entity_id, interests in per_entity.items():
             tree.set_interests(entity_id, interests)
@@ -609,11 +608,9 @@ class FederatedSystem:
         self.dissemination[stream_id] = runtime
 
         if self.config.tree_maintenance_interval is not None:
-            from repro.dissemination.maintenance import TreeMaintainer
-
             def entity_positions(tree=tree):
                 return {
-                    e: (self.network.node(e).x, self.network.node(e).y)
+                    e: self._position(e)
                     for e in tree.entities
                     if self.network.has_node(e)
                 }
@@ -621,7 +618,7 @@ class FederatedSystem:
             maintainer = TreeMaintainer(
                 self.sim,
                 tree,
-                (src.x, src.y),
+                source,
                 entity_positions,
                 interval=self.config.tree_maintenance_interval,
             )

@@ -31,7 +31,7 @@ Fault kinds (``ChaosEvent.kind``):
     Kill an entity's gateway and destroy its queued inbox batches.
 ``proc_crash``
     Kill one LAN processor and destroy its queued batches; recovery
-    re-delegates its streams (§4) and re-homes its fragments.
+    re-delegates its streams (§4) and moves its fragments to a survivor.
 ``partition``
     All sends into the target's channel fail for ``duration`` seconds.
 ``latency``
@@ -468,7 +468,6 @@ class Chaos(RuntimeService):
                 flow,
                 self.report,
                 now=loop.time,
-                replay=chaos.replay_buffer > 0,
             )
             on_failure = self.recovery_manager.on_failure
         else:

@@ -1,26 +1,25 @@
 """Failure detection and failover for the live federation runtime.
 
-The paper's adaptability mechanisms all have a failure-time face:
-§3.2.1's coordinator clusters heal around a silent member, §3.1's
-dissemination trees re-parent a dead relay's subtrees, and §4's
-delegation re-assigns a dead processor's streams to a survivor.  This
-module wires those (clock-free) repairs to a live failure signal:
+The paper repairs a failure where it happens: §3.2.1's coordinator
+clusters heal around a silent member, §3.1's dissemination trees
+re-parent a dead relay's subtrees, and §4's central administration hands
+a dead processor's streams and work to a survivor.  All of that is one
+planner edit, :meth:`FederatedSystem.edit(failed=[node])
+<repro.core.system.FederatedSystem.edit>`, which the simulator
+interprets too.  This module only detects the failure and loads what the
+edit derived:
 
 * :class:`HeartbeatMonitor` — one centralized heartbeat loop over the
   federation's gateways and processors.  Each interval every live node
   "beats"; a node silent for ``detection_multiplier`` intervals is
   declared dead exactly once and handed to the failure callback.
-* :class:`RecoveryManager` — executes the repairs.  An entity failure
-  re-parents its dissemination subtrees
-  (:func:`~repro.dissemination.maintenance.repair_after_crash`) and
-  repairs the coordinator tree
-  (:class:`~repro.coordination.membership.MembershipRepair`); a
-  processor failure re-delegates its streams
-  (:meth:`~repro.placement.delegation.DelegationScheme.fail_processor`),
-  re-homes its fragments onto a survivor in the hosting model,
-  re-derives the entity's wiring from it, and replays the gateway's
-  buffered delegate tuples to the new delegate (at-least-once: replay
-  may duplicate).
+* :class:`RecoveryManager` — runs the edit, loads each touched entity's
+  re-derived wiring into the running tasks
+  (:meth:`~repro.live.runtime.LiveDataflow.rewire`), and after a
+  processor failure replays the gateway's buffered delegate tuples to
+  each new delegate (at-least-once: replay may duplicate).  An entity's
+  last processor has no survivor to fail over to: its streams are
+  undelegated and counted as unrecovered.
 
 Everything iterates in sorted order and takes time only from the
 caller-supplied ``now`` callable, so chaos runs stay deterministic.
@@ -31,8 +30,6 @@ from __future__ import annotations
 import asyncio
 from typing import Awaitable, Callable
 
-from repro.coordination.membership import MembershipRepair
-from repro.dissemination.maintenance import repair_after_crash
 from repro.live.runtime import LiveDataflow
 from repro.monitoring.recovery import RecoveryReport
 
@@ -101,14 +98,12 @@ class RecoveryManager:
     """Executes failover once a crash has been detected.
 
     Args:
-        planner: The run's :class:`~repro.core.system.FederatedSystem`
-            (source positions, entity positions, coordinator tree,
-            delegation schemes).
+        planner: The run's :class:`~repro.core.system.FederatedSystem`;
+            its :meth:`~repro.core.system.FederatedSystem.edit` does the
+            repair.
         flow: The live dataflow being repaired.
         metrics: Recovery counters.
         now: Virtual-time source used to stamp completed recoveries.
-        replay: Whether failover replays the gateway's buffered
-            delegate tuples to the new delegate.
     """
 
     def __init__(
@@ -118,94 +113,72 @@ class RecoveryManager:
         metrics: RecoveryReport,
         *,
         now: Callable[[], float],
-        replay: bool = True,
     ) -> None:
         self.planner = planner
         self.flow = flow
         self.metrics = metrics
         self.now = now
-        self.replay = replay
-        self.coordinator = MembershipRepair(planner.portal.tree)
 
     # ------------------------------------------------------------------
     async def on_failure(self, node_id: str) -> None:
-        """Repair around one detected crash (entity or processor)."""
-        if node_id in self.flow.gateways:
-            self._recover_entity(node_id)
+        """Repair around one detected crash (entity or processor): one
+        planner edit, the touched entities' tables loaded, and the
+        gateway's buffered intake replayed to each new delegate."""
+        flow = self.flow
+        if node_id in flow.gateways:
+            entity_id = node_id
         else:
-            entity_id = self.flow.entity_of_processor(node_id)
-            if entity_id is not None:
-                await self._recover_processor(entity_id, node_id)
+            entity_id = flow.entity_of_processor(node_id)
+        entity = self.planner.entities.get(entity_id)
+        if entity is None:
+            pass  # the node's entity has failed already
+        elif node_id == entity_id:
+            self._count_entity_repair(entity_id)
+            self._edit(node_id)
+        elif len(entity.processors) == 1:
+            # the last processor: no survivor to fail over to
+            stranded = entity.delegation.delegated_streams(node_id)
+            entity.delegation.fail_processor(node_id)
+            self.metrics.streams_unrecovered += len(stranded)
+        else:
+            stranded = entity.delegation.delegated_streams(node_id)
+            self._edit(node_id)
+            self.metrics.failovers += len(stranded)
+            await self._replay(entity, stranded)
         self.metrics.record_recovery(node_id, self.now())
 
-    # ------------------------------------------------------------------
-    def _recover_entity(self, entity_id: str) -> None:
-        """Re-parent dissemination subtrees, repair the coordinator
-        tree.  Queries hosted on the dead entity are not re-homed —
-        their results are simply lost (measured as reduced results)."""
-        network = self.planner.network
-        positions = {
-            e: (network.node(e).x, network.node(e).y)
-            for e in sorted(self.planner.entities)
-            if network.has_node(e)
-        }
+    def _edit(self, node_id: str) -> None:
+        """The planner's failure edit, loaded into the running tasks.  No
+        await separates the two, so no task sees a half-repaired plan."""
+        planner = self.planner
+        for entity_id in planner.edit(failed=[node_id]):
+            self.flow.rewire(planner.entities[entity_id])
+
+    def _count_entity_repair(self, entity_id: str) -> None:
+        """Count what the edit repairs around a dead entity: its children
+        in every tree, and its coordinator-tree membership."""
         for stream_id in sorted(self.flow.trees):
             tree = self.flow.trees[stream_id]
-            src = network.node(self.planner.source_node_of(stream_id))
-            self.metrics.reparented_children += repair_after_crash(
-                tree, entity_id, (src.x, src.y), positions
-            )
-        if self.coordinator.repair(entity_id):
+            if tree.contains(entity_id):
+                self.metrics.reparented_children += len(
+                    tree.children_of(entity_id)
+                )
+        if entity_id in self.planner.portal.tree.members:
             self.metrics.coordinator_repairs += 1
 
-    # ------------------------------------------------------------------
-    async def _recover_processor(self, entity_id: str, proc_id: str) -> None:
-        """Fail the dead processor's streams over to a survivor."""
+    async def _replay(self, entity, streams: list[str]) -> None:
+        """Re-feed the gateway's buffered intake of each failed-over
+        stream to its new delegate (at-least-once: may duplicate)."""
         flow = self.flow
-        entity = self.planner.entities[entity_id]
-        survivors = sorted(
-            proc
-            for (owner, proc), task in flow.processors.items()
-            if owner == entity_id
-            and proc != proc_id
-            and not task.control.crashed
-        )
-        stranded = entity.delegation.delegated_streams(proc_id)
-        moved = entity.delegation.fail_processor(proc_id)
-        self.metrics.failovers += len(moved)
-        self.metrics.streams_unrecovered += len(stranded) - len(moved)
-        if not survivors:
+        gateway = flow.gateways[entity.entity_id]
+        if gateway.control.crashed:
             return
-
-        # Re-home the dead processor's fragments onto one survivor in
-        # the hosting model, then re-derive the entity's tables — every
-        # chain hop, fan-out and head route follows.  No await separates
-        # the edit from the swap, so no task sees a half-moved entity.
-        home = survivors[0]
-
-        def rehome(proc: str) -> str:
-            return home if proc == proc_id else proc
-
-        for hosted in entity.hosted.values():
-            hosted.chain_procs = [rehome(p) for p in hosted.chain_procs]
-        for deployment in entity.shared.values():
-            deployment.shared_proc = rehome(deployment.shared_proc)
-            deployment.tap_procs = {
-                qid: rehome(p) for qid, p in deployment.tap_procs.items()
-            }
-        entity.rewire()
-        flow.rewire(entity)
-
-        if not self.replay:
-            return
-        gateway = flow.gateways.get(entity_id)
-        if gateway is None or gateway.control.crashed:
-            return
-        for stream_id in sorted(moved):
+        for stream_id in streams:
             buffered = gateway.recent_delegated(stream_id)
             if not buffered:
                 continue
-            channel = flow.proc_channels[entity_id][moved[stream_id]]
+            delegate = entity.delegation.delegate_of(stream_id)
+            channel = flow.proc_channels[entity.entity_id][delegate]
             delivered = await flow.transport.send(
                 channel, [(None, tup) for tup in buffered]
             )

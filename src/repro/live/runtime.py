@@ -243,9 +243,11 @@ class LiveDataflow:
         standalone head fragment is (re)bound to its owner's bucket.
         """
         wiring = entity.wiring
+        # a crashed processor's task has left the model: its tables empty
         tasks = [
-            self.processors[(entity.entity_id, proc_id)]
-            for proc_id in entity.processors
+            task
+            for (owner, __), task in self.processors.items()
+            if owner == entity.entity_id
         ]
         # one head-route table and one throttle serve all of them
         head_routes, throttle = tasks[0].head_routes, tasks[0].throttle
@@ -257,8 +259,8 @@ class LiveDataflow:
                 throttle.bind(fragment_id, tenant)
         for task in tasks:
             for table, derived in (
-                (task.fragments, wiring.fragments[task.proc_id]),
-                (task.downstream, wiring.downstream[task.proc_id]),
+                (task.fragments, wiring.fragments.get(task.proc_id, {})),
+                (task.downstream, wiring.downstream.get(task.proc_id, {})),
             ):
                 table.clear()
                 table.update(derived)

@@ -2,12 +2,28 @@
 
 from __future__ import annotations
 
+import faulthandler
+
 import pytest
 
 from repro.simulation.network import Network
 from repro.simulation.simulator import Simulator
 from repro.streams.catalog import StreamCatalog, stock_catalog
 from repro.streams.schema import Attribute, StreamSchema
+
+
+# A test still running after this many seconds is hung (the slowest
+# takes a few): dump every thread's stack and exit instead of waiting
+# for the CI job's timeout.
+HANG_SECONDS = 120
+
+
+@pytest.fixture(autouse=True)
+def hang_guard():
+    """Arm a stack-dumping exit around each test."""
+    faulthandler.dump_traceback_later(HANG_SECONDS, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

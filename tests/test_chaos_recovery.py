@@ -17,7 +17,7 @@ import pytest
 from repro.cli import main
 from repro.coordination.membership import MembershipRepair
 from repro.coordination.tree import CoordinatorTree, Member
-from repro.core.system import SystemConfig
+from repro.core.system import FederatedSystem, SystemConfig
 from repro.dissemination.maintenance import repair_after_crash
 from repro.dissemination.tree import DisseminationTree
 from repro.interest.predicates import StreamInterest
@@ -559,3 +559,62 @@ def test_cli_chaos_rejects_bad_script(tmp_path, capsys):
     code = main(["chaos", "--script", str(script)])
     assert code == 2
     assert "cannot load chaos script" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# One failure story: the same crash makes the same plan on either leg
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("plan", ["plain", "partitioned", "shared"])
+def test_same_crash_makes_the_same_plan_on_both_legs(plan):
+    """A crash is one planner edit both legs interpret: the simulator
+    applies it when the node dies, the live runtime when its heartbeat
+    detects the silence.  After a processor crash and then an entity
+    crash, the two planners agree on every placement decision."""
+    from tests.test_differential import PLANS, crash_victim
+
+    catalog, config, queries = PLANS[plan](7)
+    sim = FederatedSystem(catalog, config)
+    sim.submit(queries)
+    proc, __ = crash_victim(sim)
+    entity = max(e for e in sim.entities if not proc.startswith(f"{e}/"))
+    sim.sim.schedule_at(0.4, lambda: sim.edit(failed=[proc]))
+    sim.sim.schedule_at(0.8, lambda: sim.edit(failed=[entity]))
+    sim.run(1.5)
+
+    runtime = LiveRuntime(
+        catalog,
+        config,
+        LiveSettings(duration=1.5, batch_size=4),
+        services=[
+            Chaos(
+                [
+                    ChaosEvent(0.4, "proc_crash", proc),
+                    ChaosEvent(0.8, "entity_crash", entity),
+                ]
+            )
+        ],
+    )
+    runtime.submit(queries)
+    report = runtime.run()
+    assert report.recovery.detections == 2
+    assert report.recovery.audit_violations == ()
+
+    def plan_of(planner):
+        return (
+            planner.allocation_result.assignment,
+            {
+                (entity_id, query_id): hosted.chain_procs
+                for entity_id, e in planner.entities.items()
+                for query_id, hosted in e.hosted.items()
+            },
+            {
+                entity_id: {
+                    s: e.delegation.delegate_of(s) for s in catalog.stream_ids()
+                }
+                for entity_id, e in planner.entities.items()
+            },
+            planner.portal.entity_ids,
+        )
+
+    assert entity not in runtime.planner.entities
+    assert plan_of(runtime.planner) == plan_of(sim)

@@ -24,7 +24,7 @@ from repro.live import (
     LiveRuntime,
     LiveSettings,
 )
-from repro.workloads import churn_workload
+from repro.workloads import churn_workload, parity_workload
 
 SEED = 11
 DURATION = 2.5
@@ -140,23 +140,35 @@ def test_control_without_adaptation_fails_at_construction():
 
 def test_chaos_churn_survivors_keep_result_parity(churn_under_chaos):
     """Queries hosted away from every crash deliver the identical
-    result set as the fault-free run of the same churn script."""
-    baseline, baseline_report, chaos, report, crashed, __ = churn_under_chaos
+    result set as the fault-free run of the same churn script.  Recovery
+    re-homes a crashed entity's queries onto survivors, so "away from
+    every crash" is read off the planned, pre-crash assignment (and the
+    final one, for a query moved onto a crash target before it hit)."""
+    baseline, __, chaos, __, crashed, __ = churn_under_chaos
+    planned = build_runtime([])[0].planner.allocation_result.assignment
     assignment = chaos.planner.allocation_result.assignment
     base_keys = query_keys(baseline)
     chaos_keys = query_keys(chaos)
     survivors = [
         query_id
-        for query_id, entity_id in sorted(assignment.items())
-        if entity_id not in crashed and not query_id.startswith("churn")
+        for query_id, entity_id in sorted(planned.items())
+        if entity_id not in crashed
+        and assignment.get(query_id) not in crashed
+        and not query_id.startswith("churn")
     ]
     assert survivors, "every long-lived query landed on a crash target"
     for query_id in survivors:
         assert chaos_keys.get(query_id, set()) == base_keys.get(
             query_id, set()
         ), query_id
-    # the crashes actually hurt: the chaos run lost work somewhere
-    assert report.results <= baseline_report.results
+    # the crashes actually hurt: the chaos run lost work somewhere and
+    # made up none (replay is at-least-once, so distinct result keys are
+    # compared, not counts)
+    assert {
+        (query_id, key) for query_id, keys in chaos_keys.items() for key in keys
+    } < {
+        (query_id, key) for query_id, keys in base_keys.items() for key in keys
+    }
 
 
 def test_chaos_churn_is_deterministic():
@@ -174,3 +186,47 @@ def test_chaos_churn_is_deterministic():
     assert first_report.recovery == second_report.recovery
     assert first_report.control.registered == second_report.control.registered
     assert first_report.control.torn_down == second_report.control.torn_down
+
+
+def test_crashed_entity_leaves_the_plan_and_its_queries_resume():
+    """A detected entity crash is one planner edit: the planner stops
+    listing the entity, so the adaptation loop never moves a query onto
+    it, and every query it hosted re-arrives elsewhere and delivers
+    results created after the recovery."""
+    from tests.test_differential import MOVE_EAGERLY, SETTINGS
+
+    victim = "entity-1"
+    catalog, config, queries = parity_workload(1)
+    runtime = LiveRuntime(
+        catalog,
+        config,
+        SETTINGS,
+        services=[
+            Chaos([ChaosEvent(0.2, "entity_crash", victim)]),
+            Adaptation(MOVE_EAGERLY),
+        ],
+    )
+    runtime.submit(queries)
+    stranded = sorted(runtime.planner.entities[victim].hosted)
+    assert stranded
+    moves = []
+    migrate = runtime.planner.migrate
+
+    def recording(batch):
+        moves.extend(batch)
+        return migrate(batch)
+
+    runtime.planner.migrate = recording
+    report = runtime.run()
+    recovered = 0.2 + report.recovery.mean_time_to_recover
+    assert report.recovery.detections == 1
+    assert victim not in runtime.planner.entities
+    assert victim not in runtime.planner.portal.entity_ids
+    assert moves, "the eager loop moved nothing"
+    assert [move for move in moves if move[2] == victim] == []
+    for query_id in stranded:
+        assert runtime.planner.allocation_result.assignment[query_id] != victim
+        assert any(
+            tup.created_at > recovered for tup in runtime.results[query_id]
+        ), query_id
+    assert report.recovery.audit_violations == ()

@@ -12,12 +12,14 @@ it returns, as one generated matrix of cells:
   one shared prefix);
 * **lifecycle** — ``static``; ``migrated`` (an ``Adaptation`` loop tuned
   to move queries and rebalance partitions); ``churned`` (a churn
-  script: one arrival that leaves again, one departure); ``crashed``.
+  script: one arrival that leaves again, one departure); ``crashed``
+  (one processor crash at ``CRASH_AT``).
 
 Every cell has one reference — the simulator on the same workload and
 seed, unpartitioned, unshared, static — and one oracle: per query, the
 set of ``(query_id, stream_id, seq)`` result keys.  A churned cell is
-judged on the queries alive for the whole run.  The runtime suites hold
+judged on the queries alive for the whole run, a crashed cell on the
+queries the crash did not touch.  The runtime suites hold
 runs the matrix does not make (other durations, batch sizes, worker
 counts) to the same oracle through ``assert_matches_reference``.
 
@@ -47,7 +49,14 @@ from repro.control import Control
 from repro.control.events import REGISTER, TEARDOWN, ControlEvent
 from repro.core.system import FederatedSystem
 from repro.distributed import DistributedCoordinator
-from repro.live import Adaptation, AdaptationSettings, LiveRuntime, LiveSettings
+from repro.live import (
+    Adaptation,
+    AdaptationSettings,
+    Chaos,
+    ChaosEvent,
+    LiveRuntime,
+    LiveSettings,
+)
 from repro.workloads import parity_workload, partition_workload, sharing_workload
 
 LEGS = ("sim", "live", "distributed")
@@ -74,6 +83,9 @@ MOVE_EAGERLY = AdaptationSettings(
     partition_skew_threshold=1.0,
 )
 
+# The crashed lifecycle's one processor crash (virtual seconds).
+CRASH_AT = 0.5
+
 # The cells claimed to work: (leg, lifecycle) -> plans.
 GENERATED = {
     ("sim", "static"): ALL_PLANS,
@@ -81,6 +93,8 @@ GENERATED = {
     ("live", "static"): ALL_PLANS,
     ("live", "migrated"): ALL_PLANS,
     ("live", "churned"): ALL_PLANS,
+    ("sim", "crashed"): ALL_PLANS,
+    ("live", "crashed"): ALL_PLANS,
     ("distributed", "static"): ALL_PLANS,
 }
 
@@ -104,15 +118,6 @@ class Unsupported:
 WINDOW_JOIN = "window-join"
 
 UNSUPPORTED = (
-    Unsupported(
-        ("sim", "live"),
-        ALL_PLANS,
-        ("crashed",),
-        "recovery re-homes a crashed entity's queries, but its in-flight "
-        "tuples and operator state are lost: results are a subset of "
-        "the reference, not equal to it",
-        "5(b)",
-    ),
     Unsupported(
         ("distributed",),
         ALL_PLANS,
@@ -140,9 +145,9 @@ UNSUPPORTED = (
 )
 
 # Slow runs on top of SEED: twelve plain live seeds, plain distributed
-# runs on two to eight workers, and three seeds per migrated or churned
-# cell, where every seed moves or churns.  Distributed cells take
-# (seed, workers).
+# runs on two to eight workers, and three seeds per migrated, churned or
+# crashed cell, where every seed moves, churns or crashes.  Distributed
+# cells take (seed, workers).
 SWEEP = {
     ("live", "plain", "static"): (2, 3, 5, 11, 13, 17, 19, 23, 29, 31, 37),
     ("distributed", "plain", "static"): (
@@ -156,9 +161,13 @@ SWEEP = {
     **{
         ("live", plan, lifecycle): (2, 3, 29)
         for plan in ALL_PLANS
-        for lifecycle in ("migrated", "churned")
+        for lifecycle in ("migrated", "churned", "crashed")
     },
-    **{("sim", plan, "churned"): (2, 3, 29) for plan in ALL_PLANS},
+    **{
+        ("sim", plan, lifecycle): (2, 3, 29)
+        for plan in ALL_PLANS
+        for lifecycle in ("churned", "crashed")
+    },
 }
 
 
@@ -203,6 +212,39 @@ def result_keys(results, query_ids):
     }
 
 
+def crash_victim(planner):
+    """The processor a crashed cell kills, and the queries its crash
+    touches, read off the pre-crash hosting: a fragment of theirs ran
+    there (a shared prefix counting for every member), or one of their
+    streams was delegated there (its intake in flight dies with it).
+
+    The victim is the first processor, in sorted order, that runs a
+    fragment in an entity with a processor to spare and leaves a query
+    of that entity untouched — else the first that runs a fragment.
+    """
+    candidates = []
+    for __, entity in sorted(planner.entities.items()):
+        if len(entity.processors) < 2:
+            continue
+        for proc_id in sorted(entity.processors):
+            if not entity.wiring.fragments[proc_id]:
+                continue
+            touched = {
+                query_id
+                for query_id, hosted in entity.hosted.items()
+                if proc_id in hosted.chain_procs
+                or proc_id
+                in map(entity.delegation.delegate_of, hosted.spec.input_streams)
+            }
+            for deployment in entity.shared.values():
+                if deployment.shared_proc == proc_id:
+                    touched.update(deployment.group.members)
+            candidates.append((proc_id, touched, entity.hosted.keys() - touched))
+    assert candidates, "no processor runs a fragment"
+    proc_id, touched, __ = next((c for c in candidates if c[2]), candidates[0])
+    return proc_id, touched
+
+
 def churn(queries):
     """One arrival (a copy of the first query) that leaves again, and
     the departure of the second query."""
@@ -214,9 +256,11 @@ def churn(queries):
     )
 
 
-def simulate(catalog, config, queries, script=(), duration=DURATION):
+def simulate(
+    catalog, config, queries, script=(), duration=DURATION, crash=None
+):
     """The simulator's results; a churn script goes through its online
-    submission path."""
+    submission path, a crash is one failure edit at ``CRASH_AT``."""
     system = FederatedSystem(catalog, config)
     system.submit(queries)
     results = system.collect_results()
@@ -226,8 +270,12 @@ def simulate(catalog, config, queries, script=(), duration=DURATION):
         else:
             change = partial(system.withdraw, event.query_id)
         system.sim.schedule_at(event.at, change)
+    if crash is not None:
+        system.sim.schedule_at(CRASH_AT, partial(system.edit, failed=[crash]))
     system.run(duration=duration)
     system.sim.run()  # drain in-flight tuples
+    if crash is not None:
+        assert not any(crash in e.processors for e in system.entities.values())
     return results
 
 
@@ -240,13 +288,16 @@ def reference(plan, seed, duration=DURATION):
     return simulate(catalog, config, queries, duration=duration)
 
 
-def assert_matches_reference(plan, seed, results, script=(), duration=DURATION):
-    """Apply the oracle: the plan's queries alive for the whole run
-    deliver exactly the reference's result keys."""
+def assert_matches_reference(
+    plan, seed, results, script=(), duration=DURATION, touched=()
+):
+    """Apply the oracle: the plan's queries alive for the whole run and
+    not ``touched`` by a crash deliver exactly the reference's result
+    keys."""
     __, __, queries = PLANS[plan](seed)
     alive = {q.query_id for q in queries} - {
         e.query_id for e in script if e.action == TEARDOWN
-    }
+    } - set(touched)
     expected = result_keys(reference(plan, seed, duration), alive)
     assert expected, "the reference delivered no result"
     got = result_keys(results, alive)
@@ -258,17 +309,24 @@ def assert_matches_reference(plan, seed, results, script=(), duration=DURATION):
 # ----------------------------------------------------------------------
 # The legs
 # ----------------------------------------------------------------------
-def run_live(catalog, config, queries, lifecycle, script):
+def run_live(catalog, config, queries, lifecycle, script, crash=None):
     services = {
         "static": [],
         "migrated": [Adaptation(MOVE_EAGERLY)],
         "churned": [Adaptation(), Control(events=script)],
+        "crashed": [Chaos([ChaosEvent(CRASH_AT, "proc_crash", crash)])],
     }[lifecycle]
     runtime = LiveRuntime(catalog, config, SETTINGS, services=services)
     runtime.submit(queries)
     report = runtime.run()
-    assert report.dropped_tuples == 0
     assert report.negative_latency_samples == 0
+    if lifecycle == "crashed":
+        # sends into the dead processor fail until the crash is detected
+        assert report.recovery.detections == 1
+        assert report.recovery.mean_time_to_recover > 0
+        assert report.recovery.audit_violations == ()
+        return runtime.results
+    assert report.dropped_tuples == 0
     if lifecycle == "migrated":
         adaptation = report.adaptation
         assert adaptation.queries_migrated + adaptation.partition_rebalances
@@ -295,15 +353,21 @@ def run_distributed(catalog, config, queries, workers):
 def test_cell(leg, plan, lifecycle, seed, workers):
     catalog, config, queries = PLANS[plan](seed)
     script = churn(queries) if lifecycle == "churned" else ()
+    crash, touched = None, set()
+    if lifecycle == "crashed":
+        planner = FederatedSystem(catalog, config)
+        planner.submit(queries)
+        crash, touched = crash_victim(planner)
+        assert touched, "the crash touched no query"
     if leg == "sim":
-        results = simulate(catalog, config, queries, script)
+        results = simulate(catalog, config, queries, script, crash=crash)
     elif leg == "live":
-        results = run_live(catalog, config, queries, lifecycle, script)
+        results = run_live(catalog, config, queries, lifecycle, script, crash)
     else:
         results = run_distributed(catalog, config, queries, workers)
     if script:
         assert results.get(script[0].spec.query_id), "the arrival never ran"
-    assert_matches_reference(plan, seed, results, script)
+    assert_matches_reference(plan, seed, results, script, touched=touched)
 
 
 # ----------------------------------------------------------------------

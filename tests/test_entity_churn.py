@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.system import FederatedSystem, SystemConfig
@@ -51,6 +53,30 @@ def test_system_keeps_running_after_join():
     system.add_entity()
     report = system.run(2.0)
     assert report.results > 0
+
+
+def parent_maps(system):
+    return {
+        stream_id: {e: runtime.tree.parent_of(e) for e in runtime.tree.entities}
+        for stream_id, runtime in system.dissemination.items()
+    }
+
+
+def test_add_entity_leaves_running_trees_in_place():
+    """The newcomer hosts nothing, so no tree wants it: joining changes
+    no tree's shape, including what an online arrival attached."""
+    system = running_system(queries=1)
+    workload = generate_workload(
+        system.catalog,
+        WorkloadConfig(query_count=3, join_fraction=0.0),
+        seed=5,
+    )
+    for query in workload.queries:
+        system.submit_one(replace(query, query_id=f"late-{query.query_id}"))
+    assert system.tree_attaches > 0
+    before = parent_maps(system)
+    system.add_entity()
+    assert parent_maps(system) == before
 
 
 # ----------------------------------------------------------------------

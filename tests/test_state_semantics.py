@@ -8,7 +8,8 @@ administration can hand state over.  Our implementation mirrors that:
   state survives;
 * inter-entity re-homing rebuilds fragments from the spec, so state is
   lost (the price of loose coupling);
-* explicit processor failures reset state (it lived on the dead node).
+* a processor failure resets the state of the queries it ran (it lived
+  on the dead node), and of no other query.
 """
 
 from __future__ import annotations
@@ -57,18 +58,25 @@ def test_intra_entity_redeploy_preserves_window_state(stocks):
 
 
 def test_processor_failure_resets_window_state(stocks):
+    """The join that ran on the dead processor restarts empty; a join
+    colocated in the same entity but placed elsewhere keeps its window."""
     sim, net, entity = build_entity(stocks, procs=3)
-    entity.host(join_spec(stocks))
-    entity.deploy()
+    entity.host(join_spec(stocks, "jq"))
+    entity.host(join_spec(stocks, "jk"))
+    entity.deploy(distribution_limit=1)
     source = StreamSource(sim, stocks.schemas()[0], poisson=False)
     source.subscribe(entity.receive)
     source.start()
     sim.run(until=1.0)
-    join = find_join(entity, "jq")
-    assert join.window_size(stocks.stream_ids()[0]) > 0
-    victim = sorted(entity.processors)[0]
+    stream = stocks.stream_ids()[0]
+    touched, kept = find_join(entity, "jq"), find_join(entity, "jk")
+    buffered = kept.window_size(stream)
+    assert touched.window_size(stream) > 0 and buffered > 0
+    (victim,) = set(entity.hosted["jq"].chain_procs)
+    assert victim not in entity.hosted["jk"].chain_procs
     entity.processor_failed(victim)
-    assert join.window_size(stocks.stream_ids()[0]) == 0
+    assert touched.window_size(stream) == 0
+    assert kept.window_size(stream) == buffered
 
 
 def test_inter_entity_rehoming_rebuilds_fragments():
