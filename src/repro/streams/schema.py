@@ -12,8 +12,10 @@ an integer domain).  That makes two things possible:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 
 UNIFORM = "uniform"
@@ -24,9 +26,12 @@ ZIPF = "zipf"
 def _zipf_table(n: int, s: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Per-rank weights and prefix sums for a Zipf(n, s) domain.
 
-    Cached because selectivity is evaluated O(queries^2) times when
-    building query graphs; recomputing the table each call would make
-    graph construction quadratic in the domain size too.
+    ``prefix[r]`` is the mass of ranks ``0 .. r - 1``, summed left to
+    right from 0.0.  A selectivity reads two prefix entries and a draw
+    bisects the prefix, so neither makes a pass over the domain.
+    Cached because both are hot: query-graph construction evaluates
+    O(queries^2) selectivities, and a source draws once per Zipf
+    attribute per tuple.
     """
     weights = tuple(1.0 / (r + 1) ** s for r in range(n))
     prefix = [0.0]
@@ -63,10 +68,6 @@ class Attribute:
             raise ValueError("zipf domain too large to normalise")
 
     # ------------------------------------------------------------------
-    def _zipf_weights(self) -> tuple[float, ...]:
-        n = int(self.hi - self.lo) + 1
-        return _zipf_table(n, self.zipf_s)[0]
-
     def selectivity(self, lo: float, hi: float) -> float:
         """Probability that a drawn value lands in ``[lo, hi]``."""
         lo = max(lo, self.lo)
@@ -86,13 +87,33 @@ class Attribute:
             return 0.0
         return (prefix[last + 1] - prefix[first]) / prefix[n]
 
-    def draw(self, rng) -> float:
-        """Sample one value from the declared distribution."""
+    def sampler(self, rng) -> Callable[[], float]:
+        """A zero-argument draw from the declared distribution, bound to
+        ``rng`` once, so a source pays no per-value set-up.
+
+        A uniform value is ``lo + (hi - lo) * rng.random()``, the very
+        expression of ``rng.uniform(lo, hi)``.  A Zipf value is one
+        ``rng.random()`` and one bisect of the cached prefix table:
+        ``prefix[1:]`` is exactly the cumulative list that
+        ``Random.choices(range(n), weights=weights)`` accumulates on
+        every call (the same left-to-right float additions), so the draw
+        returns the same value and consumes the same RNG state as that
+        call, without its O(n) pass.
+        """
+        random = rng.random
+        lo = self.lo
         if self.distribution == UNIFORM:
-            return rng.uniform(self.lo, self.hi)
-        weights = self._zipf_weights()
-        offset = rng.choices(range(len(weights)), weights=weights, k=1)[0]
-        return self.lo + offset
+            span = self.hi - self.lo
+            return lambda: lo + span * random()
+        n = int(self.hi - self.lo) + 1
+        prefix = _zipf_table(n, self.zipf_s)[1]
+        total = prefix[n]
+        return lambda: lo + bisect_right(prefix, random() * total, 1, n) - 1
+
+    def draw(self, rng) -> float:
+        """Sample one value from the declared distribution (see
+        :meth:`sampler`)."""
+        return self.sampler(rng)()
 
 
 @dataclass(frozen=True, slots=True)

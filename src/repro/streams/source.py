@@ -49,6 +49,10 @@ class StreamSource:
         self._subscribers: list[Subscriber] = []
         self._running = False
         self._stop: Callable[[], None] | None = None
+        # bound to the simulator's RNG object, which re-seeding keeps
+        self._samplers = tuple(
+            (a.name, a.sampler(sim.rng)) for a in schema.attributes
+        )
 
     @property
     def stream_id(self) -> str:
@@ -73,7 +77,7 @@ class StreamSource:
     # ------------------------------------------------------------------
     def make_tuple(self) -> StreamTuple:
         """Draw one tuple at the current virtual time (no delivery)."""
-        values = {a.name: a.draw(self.sim.rng) for a in self.schema.attributes}
+        values = {name: draw() for name, draw in self._samplers}
         tup = StreamTuple(
             stream_id=self.schema.stream_id,
             seq=self.emitted,

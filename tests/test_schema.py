@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.streams.schema import Attribute, StreamSchema
+from repro.streams.schema import Attribute, StreamSchema, _zipf_table
 
 
 # ----------------------------------------------------------------------
@@ -84,6 +84,45 @@ def test_zipf_draw_matches_selectivity_roughly():
     hits = sum(1 for __ in range(3000) if attr.draw(rng) <= 4)
     expected = attr.selectivity(0, 4)
     assert abs(hits / 3000 - expected) < 0.05
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 500, 4096])
+@pytest.mark.parametrize("zipf_s", [1.0, 1.1, 1.2])
+def test_zipf_draw_is_the_weighted_choice_it_replaces(n, zipf_s):
+    """A Zipf draw returns what ``Random.choices`` over the rank weights
+    returns and leaves the RNG in the same state, so every recorded
+    source trace is bit-identical to one drawn by ``choices``."""
+    attr = Attribute("sym", 7, 7 + n - 1, "zipf", zipf_s)
+    weights = _zipf_table(n, zipf_s)[0]
+    for seed in (0, 1, 91, 2**31 - 1):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for __ in range(200):
+            expected = 7 + twin.choices(range(n), weights=weights)[0]
+            assert attr.draw(rng) == expected
+        assert rng.getstate() == twin.getstate()
+
+
+def test_uniform_draw_is_random_uniform():
+    """A uniform draw is ``rng.uniform(lo, hi)`` to the bit."""
+    attr = Attribute("price", 1.0, 1000.0)
+    rng, twin = random.Random(5), random.Random(5)
+    for __ in range(500):
+        assert attr.draw(rng) == twin.uniform(1.0, 1000.0)
+    assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize(
+    "attr",
+    [Attribute("price", 1.0, 1000.0), Attribute("sym", 0, 499, "zipf", 1.1)],
+    ids=["uniform", "zipf"],
+)
+def test_bound_sampler_draws_what_draw_draws(attr):
+    """A sampler bound once and called repeatedly (what a source does)
+    yields the sequence of one-off draws and the same RNG state."""
+    rng, bound = random.Random(7), random.Random(7)
+    draw = attr.sampler(bound)
+    assert [draw() for __ in range(300)] == [attr.draw(rng) for __ in range(300)]
+    assert rng.getstate() == bound.getstate()
 
 
 @given(

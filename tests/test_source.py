@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from repro.simulation.simulator import Simulator
+from repro.streams.catalog import stock_catalog
 from repro.streams.source import StreamSource
 
 
@@ -106,3 +110,24 @@ def test_double_start_is_idempotent(sim, simple_schema):
     source.start()
     sim.run(until=1.0)
     assert 49 <= len(got) <= 50  # not doubled by the second start()
+
+
+def test_stock_trace_is_pinned():
+    """The seeded source trace of ``stock_catalog(exchanges=2)`` —
+    arrival instants and every drawn value — hashes to a pinned digest,
+    so a change to how sources draw cannot silently change the data."""
+    sim = Simulator(seed=91)
+    trace = []
+    for schema in stock_catalog(exchanges=2).schemas():
+        source = StreamSource(sim, schema)
+        source.subscribe(lambda tup: trace.append((sim.now, tup)))
+        source.start()
+    sim.run(until=5.0)
+    digest = hashlib.sha256()
+    for at, tup in trace:
+        row = (at, tup.stream_id, tup.seq, tuple(tup.values.items()))
+        digest.update(repr(row).encode())
+    assert len(trace) == 2055
+    assert digest.hexdigest() == (
+        "ddb3dc703cf37101651827062450e18f26119bd6f6295609b355d1d4c28401f6"
+    )
